@@ -15,11 +15,12 @@ records every later PR is held to.  Two suites:
 
 Two configurations run side by side:
 
-* **fast** — the shipped defaults: packed blocking graph, signature
-  cascade, interned tokens.
-* **baseline** — every fast path disabled (``packed=False`` graphs, a
-  ``fast_path=False`` matcher), reproducing the pre-fast-path
-  implementation.
+* **fast** — the production code: candidate pairs from
+  :func:`~repro.er.packed_blocking.derive_candidates` over the CSR
+  postings, matching through the signature cascade.
+* **baseline** — the paper-literal reference: the dict pipeline of
+  :mod:`repro.er.reference` (unpacked blocking graph) and
+  ``ProfileMatcher.matches`` over raw attributes.
 
 The harness asserts both configurations produce identical retained
 pairs and identical match decisions before reporting any timing: the
@@ -54,16 +55,14 @@ from repro.bench.reporting import format_table
 from repro.bench.workload import q9_query, sp_queries
 from repro.core.indices import TableIndex
 from repro.core.planner import ExecutionMode
+from repro.er import reference
 from repro.er.block_filtering import block_filtering, retained_assignment_mask
 from repro.er.block_purging import block_purging, purge_threshold, purge_threshold_from_sizes
 from repro.er.blocking import BlockCollection, TokenPostings
-from repro.er.edge_pruning import edge_pruning
-from repro.er.linkset import canonical_pair
 from repro.er.matching import ProfileMatcher
-from repro.er.meta_blocking import MetaBlockingConfig, apply_meta_blocking
+from repro.er.meta_blocking import MetaBlockingConfig
 from repro.er.packed_blocking import derive_candidates
 from repro.er.tokenizer import TokenVocabulary
-from repro.er.util import safe_sorted
 
 SCHEMA = "repro/bench/comparison-execution/v1"
 BLOCKING_SCHEMA = "repro/bench/blocking/v1"
@@ -83,43 +82,44 @@ FIG9_DATASETS: Sequence[Tuple[str, str]] = (
 FIG10_DATASETS: Sequence[str] = ("PPL200K", "PPL500K", "PPL1M", "PPL1.5M", "PPL2M")
 
 
+def _best_of(repeat: int, fn):
+    """Best-of-N wall time plus the (last) result of *fn*."""
+    best = float("inf")
+    result = None
+    for _ in range(max(1, repeat)):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
 # -- microbenchmark ---------------------------------------------------------
 
 
-def _micro_prepare(dataset_key: str):
-    """Shared, untimed prep: index, frontier and the BP+BF-refined EQBI."""
+def microbenchmark(dataset_key: str, repeat: int = 3) -> Dict[str, Any]:
+    """Candidate derivation + matching, fast vs baseline, one dataset.
+
+    Two timed stages: (a) the frontier's candidate derivation — QBI,
+    Block-Join, BP, BF and the blocking-graph build with Weighted Edge
+    Pruning (the ``graph_*`` fields) — and (b) Comparison-Execution
+    matching over the retained pairs.  Index construction and profile
+    signatures are shared untimed prep.
+    """
     table = registry().table(dataset_key)
     index = TableIndex(table)
+    postings = index.postings  # materialize outside every timed region
     frontier = {row.id for row in table if row.id % 3 == 0}
-    eqbi = index.block_join(index.query_block_index(frontier))
-    refined = block_filtering(block_purging(eqbi.non_singleton()))
-    return table, index, frontier, refined
+    config = MetaBlockingConfig.all()
 
+    graph_fast_s, fast = _best_of(
+        repeat, lambda: derive_candidates(postings, frontier, config).pairs
+    )
+    graph_base_s, base = _best_of(
+        repeat, lambda: reference.candidate_pairs(index, frontier, config).pairs
+    )
+    identical = set(fast) == set(base)
 
-def microbenchmark(dataset_key: str, repeat: int = 3) -> Dict[str, Any]:
-    """Blocking-graph build + matching, fast vs baseline, one dataset.
-
-    Timed stages are exactly the two this PR rebuilds: (a) blocking-graph
-    construction + Weighted Edge Pruning over the refined EQBI, (b)
-    Comparison-Execution matching over the retained pairs.  Everything
-    upstream (blocking, BP, BF) is shared untimed prep.
-    """
-    table, index, frontier, refined = _micro_prepare(dataset_key)
-
-    def time_graph(packed: bool) -> Tuple[float, set]:
-        best = float("inf")
-        kept: set = set()
-        for _ in range(repeat):
-            start = time.perf_counter()
-            kept = edge_pruning(refined, focus=frontier, packed=packed)
-            best = min(best, time.perf_counter() - start)
-        return best, kept
-
-    graph_fast_s, kept_fast = time_graph(True)
-    graph_base_s, kept_base = time_graph(False)
-    identical = kept_fast == kept_base
-
-    pairs = sorted(kept_fast, key=repr)
+    pairs = sorted(fast, key=repr)
     signature_of = index.signature_of
     for left, right in pairs:  # build signatures outside the timed region
         signature_of(left)
@@ -134,7 +134,7 @@ def microbenchmark(dataset_key: str, repeat: int = 3) -> Dict[str, Any]:
     ]
     match_fast_s = time.perf_counter() - start
 
-    base_matcher = ProfileMatcher(exclude=(table.schema.id_column,), fast_path=False)
+    base_matcher = ProfileMatcher(exclude=(table.schema.id_column,))
     attributes = index.entities.attributes
     attribute_cache: Dict[Any, dict] = {}
 
@@ -180,8 +180,9 @@ def run_microbenchmarks(dataset_keys: Sequence[str], repeat: int = 3) -> Dict[st
     fast_s = sum(d["graph_fast_s"] + d["match_fast_s"] for d in per_dataset)
     return {
         "description": (
-            "blocking-graph build (+WEP) and Comparison-Execution matching on "
-            "the fig9-style generated datasets; baseline = all fast paths disabled"
+            "candidate derivation (QBI, BP, BF, blocking graph + WEP) and "
+            "Comparison-Execution matching on the fig9-style generated datasets; "
+            "baseline = the paper-literal reference pipeline and exact matcher"
         ),
         "datasets": per_dataset,
         "aggregate": {
@@ -194,17 +195,6 @@ def run_microbenchmarks(dataset_keys: Sequence[str], repeat: int = 3) -> Dict[st
 
 
 # -- blocking-layer microbenchmark ------------------------------------------
-
-
-def _best_of(repeat: int, fn):
-    """Best-of-N wall time plus the (last) result of *fn*."""
-    best = float("inf")
-    result = None
-    for _ in range(max(1, repeat)):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
 
 
 def _stage(baseline_s: float, fast_s: float) -> Dict[str, Any]:
@@ -333,27 +323,10 @@ def blocking_microbenchmark(dataset_key: str, repeat: int = 3) -> Dict[str, Any]
     }
     identical &= dict_assignments == packed_assignments
 
-    # derive: the full dict pipeline vs derive_candidates.
-    def dict_derive():
-        refined = apply_meta_blocking(
-            index.block_join(index.query_block_index(frontier)), config, focus=frontier
-        )
-        raw: List[Tuple[Any, Any]] = []
-        seen = set()
-        for block in refined:
-            members = safe_sorted(block.entities)
-            for i, left in enumerate(members):
-                for right in members[i + 1 :]:
-                    if left not in frontier and right not in frontier:
-                        continue
-                    pair = canonical_pair(left, right)
-                    if pair in seen:
-                        continue
-                    seen.add(pair)
-                    raw.append(pair)
-        return raw
-
-    derive_base_s, base_pairs = _best_of(repeat, dict_derive)
+    # derive: the reference dict pipeline vs derive_candidates.
+    derive_base_s, base_pairs = _best_of(
+        repeat, lambda: reference.candidate_pairs(index, frontier, config).pairs
+    )
     derive_fast_s, fast_pairs = _best_of(
         repeat, lambda: derive_candidates(postings, frontier, config).pairs
     )
@@ -607,7 +580,7 @@ def render(report: Dict[str, Any]) -> str:
                 "identical",
             ],
             rows,
-            title="Comparison-Execution microbenchmark (graph build + matching)",
+            title="Comparison-Execution microbenchmark (candidate derivation + matching)",
         )
     )
     aggregate = micro["aggregate"]

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from repro.core.dedup_operator import matched_pairs
 from repro.core.indices import TableIndex
 from repro.core.result import DedupResult
-from repro.er.linkset import LinkSet, canonical_pair
-from repro.er.util import safe_sorted
+from repro.er.linkset import LinkSet
 from repro.er.matching import ProfileMatcher
-from repro.er.meta_blocking import MetaBlockingConfig, apply_meta_blocking
+from repro.er.meta_blocking import MetaBlockingConfig
+from repro.er.packed_blocking import derive_candidates
 from repro.sql.physical import ExecutionContext
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -32,57 +33,31 @@ def batch_deduplicate(
 ) -> DedupResult:
     """Full offline ER over the whole collection behind *index*.
 
-    Executes every comparison surviving meta-blocking (each distinct pair
-    once), counting them in *context* so BA's cost is measured with the
-    same meter as QueryER's.  Returns a DR_E whose QE is the entire
-    table.  With *executor*, graph construction and matching shard onto
-    its worker pool — BA over a whole table is the subsystem's ideal
-    workload — while the deterministic merge keeps the linkset
-    bit-identical to a serial run.
+    The candidate pairs are the Deduplicate operator's, derived with the
+    whole table as frontier; every one is compared once and counted in
+    *context*, so BA's cost is measured with the same meter as
+    QueryER's.  Returns a DR_E whose QE is the entire table.  With
+    *executor*, graph construction and matching shard onto its worker
+    pool — BA over a whole table is the subsystem's ideal workload —
+    while the deterministic merge keeps the linkset bit-identical to a
+    serial run.
     """
     context = context or ExecutionContext()
     matcher = matcher or ProfileMatcher(exclude=(index.table.schema.id_column,))
     meta_blocking = meta_blocking or MetaBlockingConfig.all()
 
-    with context.timed("meta-blocking"):
-        refined = apply_meta_blocking(index.tbi, meta_blocking, executor=executor)
+    pairs = derive_candidates(
+        index.postings,
+        set(index.table.ids),
+        meta_blocking,
+        timed=context.timed,
+        executor=executor,
+    ).pairs
 
     links = LinkSet()
-    compared = set()
     with context.timed("resolution"):
-        if executor is not None and executor.parallel:
-            # Materialize the deduplicated pair list once so it can be
-            # partitioned (below the executor's threshold it still runs
-            # the identical serial loop over the same list).
-            pairs = []
-            for block in refined:
-                members = safe_sorted(block.entities)
-                for i, left in enumerate(members):
-                    for right in members[i + 1 :]:
-                        pair = canonical_pair(left, right)
-                        if pair in compared:
-                            continue
-                        compared.add(pair)
-                        pairs.append(pair)
-            context.comparisons += len(pairs)
-            for position in executor.match_pairs(index, matcher, pairs):
-                links.add(*pairs[position])
-        else:
-            # Serial: stream each pair as it is enumerated — a
-            # whole-table BA pair list would be pure memory overhead.
-            signature_of = index.signature_of
-            match = matcher.match_signatures
-            for block in refined:
-                members = safe_sorted(block.entities)
-                for i, left in enumerate(members):
-                    left_signature = signature_of(left)
-                    for right in members[i + 1 :]:
-                        pair = canonical_pair(left, right)
-                        if pair in compared:
-                            continue
-                        compared.add(pair)
-                        context.comparisons += 1
-                        if match(left_signature, signature_of(right)):
-                            links.add(left, right)
+        context.comparisons += len(pairs)
+        for left, right in matched_pairs(index, matcher, pairs, executor):
+            links.add(left, right)
 
     return DedupResult(index.table, index.table.ids, links=links)

@@ -23,12 +23,10 @@ from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Set, Tuple
 
 from repro.core.indices import TableIndex
 from repro.core.result import DedupResult
-from repro.er.linkset import LinkSet, canonical_pair
-from repro.er.packed_blocking import derive_candidates, packed_blocking_supported
-from repro.resilience import DEGRADATION
-from repro.er.util import safe_sorted
+from repro.er.linkset import LinkSet
 from repro.er.matching import ProfileMatcher
-from repro.er.meta_blocking import MetaBlockingConfig, apply_meta_blocking
+from repro.er.meta_blocking import MetaBlockingConfig
+from repro.er.packed_blocking import PackedCandidates, derive_candidates
 from repro.sql.physical import ExecutionContext
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -49,6 +47,35 @@ class DedupStats:
     matches_found: int = 0
     rounds: int = 0
     candidate_pairs: List[Tuple[Any, Any]] = field(default_factory=list)
+
+    def record(self, derived: PackedCandidates) -> None:
+        """Fold one frontier's candidate derivation into the stats."""
+        self.qbi_blocks = max(self.qbi_blocks, derived.qbi_blocks)
+        self.eqbi_blocks = max(self.eqbi_blocks, derived.eqbi_blocks)
+        self.eqbi_comparisons_before += derived.comparisons_before
+        self.eqbi_comparisons_after += derived.comparisons_after
+
+
+def matched_pairs(
+    index: TableIndex,
+    matcher: ProfileMatcher,
+    pairs: List[Tuple[Any, Any]],
+    executor: Optional["ParallelComparisonExecutor"] = None,
+) -> List[Tuple[Any, Any]]:
+    """The pairs of *pairs* that *matcher* accepts, in list order.
+
+    Above the executor's threshold the list is sharded across its worker
+    pool; each decision is a pure function of the two signatures, so the
+    merged result equals the serial one.
+    """
+    if executor is not None and executor.should_parallelize_pairs(len(pairs)):
+        return [pairs[position] for position in executor.match_pairs(index, matcher, pairs)]
+    signature_of = index.signature_of
+    match = matcher.match_signatures
+    return [
+        (left, right) for left, right in pairs
+        if match(signature_of(left), signature_of(right))
+    ]
 
 
 class DeduplicateOperator:
@@ -101,7 +128,11 @@ class DeduplicateOperator:
         context: Optional[ExecutionContext] = None,
         stats: Optional[DedupStats] = None,
     ) -> DedupResult:
-        """Run the full operator pipeline for the evaluated set *query_ids*."""
+        """Run the full operator pipeline for the evaluated set *query_ids*.
+
+        The Link Index is amended once, after the last round: a query
+        that fails part-way leaves it exactly as it found it.
+        """
         context = context or ExecutionContext()
         stats = stats or DedupStats()
         query_set: Set[Any] = set(query_ids)
@@ -128,8 +159,6 @@ class DeduplicateOperator:
             stats.rounds += 1
             newly_found = self._resolve_frontier(frontier, links, compared, context, stats)
             processed.update(frontier)
-            if self.use_link_index:
-                link_index.mark_resolved(frontier)
             if not self.transitive:
                 break
             # Newly discovered duplicates become the next frontier —
@@ -149,6 +178,7 @@ class DeduplicateOperator:
             frontier = next_frontier
 
         if self.use_link_index:
+            link_index.mark_resolved(processed)
             link_index.add_links(links)
 
         duplicate_ids = (links.entities() | self._closure(links, query_set)) - query_set
@@ -170,33 +200,18 @@ class DeduplicateOperator:
         # Pairs are compared through cached profile signatures (interned
         # token arrays + normalized strings) so the matcher's cascade can
         # short-circuit; decisions stay bit-identical to the raw
-        # attribute path.  Above the configured threshold the executor
-        # shards the pair list across its worker pool; each decision is a
-        # pure function of the two signatures, so the deterministically
-        # merged match set equals the serial one.
+        # attribute path.
         newly_found: Set[Any] = set()
         with context.timed("resolution"):
             if self.collect_candidates:
                 stats.candidate_pairs.extend(pairs)
             context.comparisons += len(pairs)
             stats.executed_comparisons += len(pairs)
-            executor = self.executor
-            if executor is not None and executor.should_parallelize_pairs(len(pairs)):
-                for position in executor.match_pairs(self.index, self.matcher, pairs):
-                    left, right = pairs[position]
-                    links.add(left, right)
-                    stats.matches_found += 1
-                    newly_found.add(left)
-                    newly_found.add(right)
-            else:
-                signature_of = self.index.signature_of
-                match = self.matcher.match_signatures
-                for left, right in pairs:
-                    if match(signature_of(left), signature_of(right)):
-                        links.add(left, right)
-                        stats.matches_found += 1
-                        newly_found.add(left)
-                        newly_found.add(right)
+            for left, right in matched_pairs(self.index, self.matcher, pairs, self.executor):
+                links.add(left, right)
+                stats.matches_found += 1
+                newly_found.add(left)
+                newly_found.add(right)
         return newly_found
 
     def _candidate_pairs(
@@ -208,91 +223,31 @@ class DeduplicateOperator:
     ) -> List[Tuple[Any, Any]]:
         """The frontier's canonical candidate-pair list, not yet compared.
 
-        Stages (i)–(iii) of the pipeline.  The pre-``compared`` plan —
-        a pure function of (table version, frontier, meta-blocking
-        configuration) — is served from the executor's candidate-plan
-        cache when the same frontier repeats; the engine invalidates
-        that cache on every append, so a plan can never miss pairs
-        involving freshly ingested rows.  On a cache hit the block-join
-        and meta-blocking stages are skipped entirely (their stats
-        counters then record only the plan-building pass).
+        Stages (i)–(iii) of the pipeline, derived from the table's CSR
+        token postings.  The pre-``compared`` plan — a pure function of
+        (table version, frontier, meta-blocking configuration) — is
+        served from the executor's candidate-plan cache when the same
+        frontier repeats; the engine invalidates that cache on every
+        append, so a plan can never miss pairs involving freshly
+        ingested rows.  On a cache hit the block-join and meta-blocking
+        stages are skipped entirely (their stats counters then record
+        only the plan-building pass).
         """
         executor = self.executor
         table_name = self.index.table.name
         raw: Optional[List[Tuple[Any, Any]]] = None
         if executor is not None:
             raw = executor.cached_candidates(table_name, frontier, self.meta_blocking)
-        if raw is None and packed_blocking_supported(self.meta_blocking):
-            # Columnar fast path: stages (i)–(iii) derived from the CSR
-            # token postings, no string-keyed BlockCollection at all.
-            # Any packed failure (bad postings state, an injected
-            # ``packed.derive`` fault) degrades to the dict pipeline
-            # below — same pairs by the equivalence contract, so
-            # correctness survives losing the fast path.  Stage stats
-            # and timings are only applied on success; a failed derive
-            # contributes its partial stage timings, which the profile
-            # then attributes alongside the dict path's own.
-            derived = None
-            try:
-                derived = derive_candidates(
-                    self.index.postings,
-                    frontier,
-                    self.meta_blocking,
-                    timed=context.timed,
-                    executor=executor,
-                )
-            except Exception as error:
-                DEGRADATION.record(
-                    "blocking",
-                    "packed_fallback",
-                    f"packed pipeline failed ({error!r}); using dict pipeline",
-                )
-            if derived is not None:
-                stats.qbi_blocks = max(stats.qbi_blocks, derived.qbi_blocks)
-                stats.eqbi_blocks = max(stats.eqbi_blocks, derived.eqbi_blocks)
-                stats.eqbi_comparisons_before += derived.comparisons_before
-                stats.eqbi_comparisons_after += derived.comparisons_after
-                raw = derived.pairs
-                if executor is not None:
-                    executor.store_candidates(
-                        table_name, frontier, self.meta_blocking, raw
-                    )
         if raw is None:
-            # (i) Query Blocking — QBI over the frontier.
-            with context.timed("block-join"):
-                qbi = self.index.query_block_index(frontier)
-                stats.qbi_blocks = max(stats.qbi_blocks, len(qbi))
-                # (ii) Block-Join — enrich with co-occurring table entities.
-                eqbi = self.index.block_join(qbi)
-            stats.eqbi_blocks = max(stats.eqbi_blocks, len(eqbi))
-            stats.eqbi_comparisons_before += eqbi.cardinality
-
-            # (iii) Meta-Blocking — BP → BF → EP, with the Edge-Pruning
-            # graph scoped to frontier-incident edges (the only comparisons
-            # the next stage executes, §6.1(iv)).
-            with context.timed("meta-blocking"):
-                refined = apply_meta_blocking(
-                    eqbi, self.meta_blocking, focus=frontier, executor=executor
-                )
-            stats.eqbi_comparisons_after += refined.cardinality
-
-            # Pair enumeration is Comparison-Execution work and is
-            # timed as such (the pre-subsystem code enumerated pairs
-            # inside the resolution loop).
-            with context.timed("resolution"):
-                raw = []
-                seen: Set[Tuple[Any, Any]] = set()
-                for block in refined:
-                    members = safe_sorted(block.entities)
-                    for i, left in enumerate(members):
-                        for right in members[i + 1 :]:
-                            if left not in frontier and right not in frontier:
-                                continue  # only resolve the current selection
-                            pair = canonical_pair(left, right)
-                            if pair in seen:
-                                continue  # comparisons in multiple blocks run once
-                            seen.add(pair)
-                            raw.append(pair)
+            derived = derive_candidates(
+                self.index.postings,
+                frontier,
+                self.meta_blocking,
+                timed=context.timed,
+                executor=executor,
+            )
+            stats.record(derived)
+            raw = derived.pairs
             if executor is not None:
                 executor.store_candidates(table_name, frontier, self.meta_blocking, raw)
 

@@ -231,8 +231,8 @@ class TableIndex:
 
         Built lazily from the ITBI (entities in table order, so dense
         ids are registration-ordered), then kept in lockstep with the
-        dict TBI by :meth:`add_records` — the packed blocking pipeline
-        and the dict pipeline always see the same assignments.
+        dict TBI by :meth:`add_records`, so the postings and the
+        TBI/ITBI always hold the same assignments.
         """
         if self._postings is None:
             itbi = self.itbi

@@ -10,12 +10,9 @@ from repro.er.util import LRUCache, ordered_pair, safe_sorted
 from repro.er.blocking import Block, BlockCollection, NGramBlocking, TokenBlocking
 from repro.er.block_purging import block_purging, purge_threshold
 from repro.er.block_filtering import block_filtering
-from repro.er.edge_pruning import (
-    BlockingGraph,
-    WeightingScheme,
-    edge_pruning,
-)
-from repro.er.meta_blocking import MetaBlockingConfig, apply_meta_blocking
+from repro.er.edge_pruning import BlockingGraph, WeightingScheme
+from repro.er.meta_blocking import MetaBlockingConfig
+from repro.er.packed_blocking import derive_candidates
 from repro.er.similarity import (
     dice,
     jaccard,
@@ -52,9 +49,8 @@ __all__ = [
     "block_filtering",
     "BlockingGraph",
     "WeightingScheme",
-    "edge_pruning",
     "MetaBlockingConfig",
-    "apply_meta_blocking",
+    "derive_candidates",
     "dice",
     "jaccard",
     "jaccard_sorted_ids",

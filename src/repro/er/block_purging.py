@@ -15,10 +15,7 @@ from __future__ import annotations
 
 from typing import Any, List, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every packed purge
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None
+import numpy as np
 
 from repro.er.blocking import Block, BlockCollection
 
@@ -83,21 +80,21 @@ def purge_threshold_from_sizes(sizes: Any, smoothing: float = SMOOTHING_FACTOR) 
     than two entities are ignored, mirroring the dict path's
     ``non_singleton`` precondition.
     """
-    sizes = _np.asarray(sizes, dtype=_np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
     sizes = sizes[sizes >= 2]
     if not len(sizes):
         return 0
     cardinalities = sizes * (sizes - 1) // 2
-    levels, inverse = _np.unique(cardinalities, return_inverse=True)
-    size_sums = _np.zeros(len(levels), dtype=_np.int64)
-    _np.add.at(size_sums, inverse, sizes)
-    comparison_sums = _np.zeros(len(levels), dtype=_np.int64)
-    _np.add.at(comparison_sums, inverse, cardinalities)
+    levels, inverse = np.unique(cardinalities, return_inverse=True)
+    size_sums = np.zeros(len(levels), dtype=np.int64)
+    np.add.at(size_sums, inverse, sizes)
+    comparison_sums = np.zeros(len(levels), dtype=np.int64)
+    np.add.at(comparison_sums, inverse, cardinalities)
     stats = list(
         zip(
             levels.tolist(),
-            _np.cumsum(size_sums).tolist(),
-            _np.cumsum(comparison_sums).tolist(),
+            np.cumsum(size_sums).tolist(),
+            np.cumsum(comparison_sums).tolist(),
         )
     )
     return _threshold_from_stats(stats, smoothing)

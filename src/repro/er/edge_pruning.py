@@ -15,40 +15,28 @@ Weighting schemes implemented (standard meta-blocking literature):
 * ``ARCS`` — Aggregate Reciprocal Comparisons: Σ 1/||b|| over shared
   blocks, favouring pairs meeting in small blocks.
 
-Graph construction is the meta-blocking hot path, so the default
-(``packed=True``) build maps entities to dense integer indices once and
-represents each unordered pair as a single packed int (``left * n +
-right``).  Pair generation for non-trivial blocks and the per-scheme
-weight computation run as bulk array operations (NumPy when available,
-with a pure-Python packed fallback), and Edge Pruning consumes the
-arrays directly instead of iterating an edge generator.
-
-The unpacked build (the pre-fast-path implementation) is kept for the
-perf-regression baseline.  Both builds are observationally identical —
-same weights, same edge iteration order, same pruning output, bit for
-bit: pairs are visited in the baseline's exact order, per-pair weight
-accumulation (``np.add.at`` is unbuffered and in-order) reproduces the
-baseline's float additions, and the average weight is summed in the
-baseline's edge-insertion order.
+Graph construction is the meta-blocking hot path, so the graph is built
+on arrays: entities are dense universe positions, each unordered pair is
+one packed int (``left * n + right``), blocks are contiguous spans of a
+member array, and per-scheme weights are computed in bulk.  Building is
+split into *segment generation* (:func:`generate_span_segments`, per
+block span — embarrassingly parallel, which :mod:`repro.parallel` uses)
+and *reduction* (:func:`reduce_span_segments`, one pass over the
+concatenated segments), so a partitioned build is the same computation
+as the serial one, bit for bit.  The paper-literal dict graph the
+equivalence suites compare against lives in :mod:`repro.er.reference`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Iterator, List, Optional, Set, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every packed build
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None
+import numpy as np
 
-from repro.er.blocking import Block, BlockCollection
-from repro.er.util import LRUCache, ordered_pair, safe_sorted
+from repro.er.util import LRUCache
 
-#: Backwards-compatible aliases; shared definitions live in repro.er.util.
-_safe_sorted = safe_sorted
-_ordered = ordered_pair
 
 #: Blocks below this size stay on the scalar pair loop — per-block array
 #: setup costs more than a handful of Python iterations.
@@ -70,7 +58,7 @@ _TRIU_CACHE = LRUCache(64)
 def _triu_indices(size: int) -> Tuple[Any, Any]:
     cached = _TRIU_CACHE.get(size)
     if cached is None:
-        cached = _np.triu_indices(size, 1)
+        cached = np.triu_indices(size, 1)
         _TRIU_CACHE.put(size, cached)
     return cached
 
@@ -84,41 +72,6 @@ class WeightingScheme(enum.Enum):
     ARCS = "arcs"
 
 
-# -- partition-addressable construction helpers ------------------------------
-#
-# The packed build is split into *segment generation* (per-block work:
-# dense-index sorting, pair enumeration, focus filtering, key packing)
-# and *reduction* (per-pair weight-stat accumulation).  Generation is
-# embarrassingly parallel over contiguous block spans; reduction is a
-# single in-order pass.  The serial build and the parallel execution
-# subsystem (:mod:`repro.parallel`) both run through these helpers, so
-# a partitioned build concatenating per-span segments in block order is
-# *the same computation* as the serial one — bit for bit.
-
-
-def prepare_packed_universe(
-    collection: BlockCollection, focus: Optional[Set[Any]]
-) -> Tuple[List[Any], Dict[Any, int], Optional[bytearray]]:
-    """Entity universe, dense index mapping and focus mask of a build.
-
-    Entities are sorted once, globally: per-block integer sorts then
-    reproduce the unpacked build's per-block entity sorts, so pair visit
-    order — and therefore weight accumulation order and edge order — is
-    preserved exactly.
-    """
-    universe = safe_sorted(collection.entity_ids())
-    index_of: Dict[Any, int] = {entity: i for i, entity in enumerate(universe)}
-    if focus is None:
-        in_focus = None
-    else:
-        in_focus = bytearray(len(universe))
-        for entity in focus:
-            i = index_of.get(entity)
-            if i is not None:
-                in_focus[i] = 1
-    return universe, index_of, in_focus
-
-
 def _emit_scalar_block(
     members: List[int],
     n: int,
@@ -130,9 +83,8 @@ def _emit_scalar_block(
 ) -> None:
     """One small block's packed pair keys, appended to the scalar run.
 
-    *members* are sorted dense indices.  Shared by the Block-object and
-    postings-span generators so their pair enumeration (and focus
-    filtering) can never drift apart.
+    *members* are sorted universe positions; pairs with neither side in
+    focus are skipped.
     """
     size = len(members)
     for ai in range(size):
@@ -160,10 +112,8 @@ def _emit_vector_block(
 
     *members_arr* is a sorted int64 array of dense indices.  Mid-size
     blocks use one cached upper-triangle index pair; larger blocks go
-    row-at-a-time to keep scratch memory linear in block size.  Shared
-    by both segment generators (see :func:`_emit_scalar_block`).
+    row-at-a-time to keep scratch memory linear in block size.
     """
-    np = _np
     size = len(members_arr)
     if size <= _VECTOR_TRIU_MAX:
         ii, jj = _triu_indices(size)
@@ -191,71 +141,6 @@ def _emit_vector_block(
             value_segments.append(np.full(keys.size, reciprocal, dtype=np.float64))
 
 
-def generate_packed_segments(
-    blocks: Iterable[Block],
-    index_of: Dict[Any, int],
-    n: int,
-    in_focus: Optional[bytearray],
-    need_arcs: bool,
-    block_counts: List[int],
-) -> Tuple[List[Any], List[Any]]:
-    """NumPy path: packed pair-key (and ARCS value) segments for *blocks*.
-
-    Segments come back in block visit order; per-entity block membership
-    counts are accumulated into *block_counts* in place.  Runs of
-    scalar-built pairs from small blocks are flushed into array segments
-    whenever a vectorized block interleaves, preserving the global visit
-    order.
-    """
-    np = _np
-    focus_mask = (
-        None
-        if in_focus is None
-        else np.frombuffer(in_focus, dtype=np.uint8).view(np.bool_)
-    )
-    key_segments: List[Any] = []
-    value_segments: List[Any] = []
-    pending_keys: List[int] = []
-    pending_recips: List[float] = []
-
-    def flush_scalar() -> None:
-        if pending_keys:
-            key_segments.append(np.array(pending_keys, dtype=np.int64))
-            if need_arcs:
-                value_segments.append(np.array(pending_recips, dtype=np.float64))
-                pending_recips.clear()
-            pending_keys.clear()
-
-    for block in blocks:
-        size = block.size
-        reciprocal = 0.0
-        if need_arcs:
-            cardinality = block.cardinality
-            reciprocal = 1.0 / cardinality if cardinality else 0.0
-        if size < _VECTOR_MIN_SIZE:
-            members = sorted([index_of[e] for e in block.entities])
-            for i in members:
-                block_counts[i] += 1
-            _emit_scalar_block(
-                members, n, in_focus, need_arcs, reciprocal,
-                pending_keys, pending_recips,
-            )
-            continue
-        flush_scalar()
-        members_arr = np.fromiter(
-            (index_of[e] for e in block.entities), dtype=np.int64, count=size
-        )
-        members_arr.sort()
-        for i in members_arr.tolist():
-            block_counts[i] += 1
-        _emit_vector_block(
-            members_arr, n, focus_mask, need_arcs, reciprocal,
-            key_segments, value_segments,
-        )
-    flush_scalar()
-    return key_segments, value_segments
-
-
 def generate_span_segments(
     members: Any,
     indptr: Any,
@@ -265,19 +150,16 @@ def generate_span_segments(
     in_focus: Optional[bytearray],
     need_arcs: bool,
 ) -> Tuple[List[Any], List[Any], Any]:
-    """Packed pair segments for block span ``[start, stop)`` of a
-    postings-derived collection (the columnar blocking fast path).
+    """Packed pair segments for block span ``[start, stop)``.
 
-    The array twin of :func:`generate_packed_segments`: *members* holds
-    universe positions grouped by block (block ``b`` spans
-    ``members[indptr[b] : indptr[b+1]]``), so no per-entity dict
+    *members* holds universe positions grouped by block (block ``b``
+    spans ``members[indptr[b] : indptr[b+1]]``), so no per-entity dict
     lookups happen at all — block membership counts come from one
-    ``bincount`` and per-block pair enumeration uses the same
-    size-tiered strategy (scalar / cached triangle / row-at-a-time).
+    ``bincount`` and per-block pair enumeration is size-tiered (scalar
+    / cached triangle / row-at-a-time).
     Returns ``(key_segments, value_segments, block_counts)`` with
     *block_counts* an int64 array of length *n* covering the span.
     """
-    np = _np
     focus_mask = (
         None
         if in_focus is None
@@ -323,53 +205,19 @@ def generate_span_segments(
     return key_segments, value_segments, block_counts
 
 
-def reduce_packed_segments(
-    key_segments: List[Any], value_segments: List[Any], need_arcs: bool
-) -> Tuple[Any, Any]:
-    """In-order reduction of generated segments to (edge_keys, edge_stats).
-
-    Edges come back in first-visit order — the order the unpacked
-    build's dict would iterate them in — and per-key accumulation
-    (``np.add.at`` is unbuffered and in-order) reproduces the unpacked
-    build's float additions exactly.
-    """
-    np = _np
-    if not key_segments:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64) if need_arcs else np.empty(0, dtype=np.int64),
-        )
-    all_keys = np.concatenate(key_segments)
-    unique_keys, first_seen, inverse = np.unique(
-        all_keys, return_index=True, return_inverse=True
-    )
-    insertion = np.argsort(first_seen)
-    if need_arcs:
-        sums = np.zeros(len(unique_keys), dtype=np.float64)
-        np.add.at(sums, inverse, np.concatenate(value_segments))
-        edge_stats = sums[insertion]
-    else:
-        edge_stats = np.bincount(inverse, minlength=len(unique_keys))[insertion]
-    return unique_keys[insertion], edge_stats
-
-
 def reduce_span_segments(
     key_segments: List[Any], value_segments: List[Any], need_arcs: bool
 ) -> Tuple[Any, Any]:
-    """Sorted-key reduction for the columnar blocking pipeline.
+    """Generated segments reduced to ``(edge_keys, edge_stats)``.
 
-    The packed-TBI pipeline owns its ordering contract (edges in
-    ascending packed-key order rather than the dict path's first-visit
-    order), which unlocks a much cheaper reduction than
-    :func:`reduce_packed_segments`: one stable argsort, boundary
-    detection, and ``np.add.reduceat`` — no ``np.unique`` index
-    juggling, no unbuffered ``np.add.at``.  Per-key contributions still
+    Edges come back in ascending packed-key order (not first-visit
+    order), which makes the reduction one stable argsort, boundary
+    detection and ``np.add.reduceat``.  Per-key contributions still
     accumulate left-to-right in global block visit order (the stable
     sort preserves it), so a partitioned build concatenating span
     results in partition order reduces bit-identically to the serial
     span build.
     """
-    np = _np
     empty_stats = np.empty(0, dtype=np.float64 if need_arcs else np.int64)
     if not key_segments:
         return np.empty(0, dtype=np.int64), empty_stats
@@ -388,458 +236,101 @@ def reduce_span_segments(
     return unique_keys, sums
 
 
-def generate_packed_contributions(
-    blocks: Iterable[Block],
-    index_of: Dict[Any, int],
-    n: int,
-    in_focus: Optional[bytearray],
-    need_arcs: bool,
-    block_counts: List[int],
-) -> Tuple[List[int], List[float]]:
-    """Pure-Python twin of :func:`generate_packed_segments`.
-
-    Returns one (key, ARCS-reciprocal) contribution per pair visit, in
-    visit order, for the no-NumPy fallback.
-    """
-    keys: List[int] = []
-    values: List[float] = []
-    for block in blocks:
-        members = sorted([index_of[e] for e in block.entities])
-        for i in members:
-            block_counts[i] += 1
-        if need_arcs:
-            cardinality = block.cardinality
-            reciprocal = 1.0 / cardinality if cardinality else 0.0
-        count = len(members)
-        for ai in range(count):
-            left = members[ai]
-            base = left * n
-            tail = members[ai + 1 :]
-            if in_focus is not None and not in_focus[left]:
-                tail = [right for right in tail if in_focus[right]]
-            for right in tail:
-                keys.append(base + right)
-                if need_arcs:
-                    values.append(reciprocal)
-    return keys, values
-
-
-def fold_packed_contributions(
-    keys: List[int], values: List[float], need_arcs: bool
-) -> Tuple[List[int], List[Any]]:
-    """Visit-order fold of scalar contributions to (edge_keys, edge_stats).
-
-    Dict insertion order gives first-visit edge order and per-key
-    additions happen in visit order — identical to the direct
-    accumulation the serial scalar build performs.
-    """
-    stats: Dict[int, Any] = {}
-    stats_get = stats.get
-    if need_arcs:
-        for key, value in zip(keys, values):
-            stats[key] = stats_get(key, 0.0) + value
-    else:
-        for key in keys:
-            stats[key] = stats_get(key, 0) + 1
-    return list(stats), list(stats.values())
-
-
 class BlockingGraph:
-    """Weighted co-occurrence graph of a block collection."""
+    """Weighted co-occurrence graph over packed edge arrays.
+
+    *edge_keys* are packed pair keys in edge order and *edge_stats* the
+    per-edge reduced statistic (ARCS: Σ 1/||b||; every other scheme: the
+    number of shared blocks); *block_counts* holds each universe
+    position's block membership count and *block_count* the number of
+    blocks the graph was built from.
+    """
 
     def __init__(
         self,
-        collection: BlockCollection,
-        scheme: WeightingScheme = WeightingScheme.ARCS,
-        focus: Optional[Set[Any]] = None,
-        packed: bool = True,
-    ):
-        """Build the graph; with *focus* set, only edges incident to a
-        focus entity are materialized.  The Deduplicate operator passes
-        its query frontier here: Comparison-Execution only ever runs
-        QE-incident pairs (§6.1(iv)), so the rest of the graph would be
-        built and thrown away.  *packed* selects the array-based build
-        (see module docstring); both builds are observationally
-        identical."""
-        self.scheme = scheme
-        self.packed = packed
-        self._block_count = max(len(collection), 1)
-        if packed:
-            self._build_packed(collection, focus)
-        else:
-            self._build_unpacked(collection, focus)
-
-    # -- packed construction ----------------------------------------------
-    def _build_packed(self, collection: BlockCollection, focus: Optional[Set[Any]]) -> None:
-        universe, index_of, in_focus = prepare_packed_universe(collection, focus)
-        self._universe = universe
-        self._index_of = index_of
-        self._n = len(universe)
-        self._block_counts = [0] * self._n
-        self._edge_positions: Optional[Dict[int, int]] = None
-        self._weights_memo = None
-        need_arcs = self.scheme is WeightingScheme.ARCS
-        if _np is not None:
-            self._accumulate_vectorized(collection, in_focus, need_arcs)
-        else:
-            self._accumulate_scalar(collection, in_focus, need_arcs)
-
-    @classmethod
-    def from_arrays(
-        cls,
         scheme: WeightingScheme,
         block_count: int,
         universe: List[Any],
-        index_of: Dict[Any, int],
         block_counts: List[int],
         edge_keys: Any,
         edge_stats: Any,
-    ) -> "BlockingGraph":
-        """A packed graph assembled from already-reduced edge arrays.
+    ):
+        self.scheme = scheme
+        self._block_count = max(block_count, 1)
+        self._universe = universe
+        self._n = len(universe)
+        self._block_counts = block_counts
+        self._edge_keys = edge_keys
+        self._edge_stats = edge_stats
+        self._weights_memo = None
 
-        The parallel execution subsystem builds per-partition segments in
-        workers, reduces them in canonical block order, and hands the
-        result here; provided the reduction matches
-        :func:`reduce_packed_segments` / :func:`fold_packed_contributions`
-        over the same visit order — or :func:`reduce_span_segments` under
-        the columnar pipeline's sorted-key order — the graph is
-        indistinguishable from one built serially over that order.
-        """
-        graph = cls.__new__(cls)
-        graph.scheme = scheme
-        graph.packed = True
-        graph._block_count = max(block_count, 1)
-        graph._universe = universe
-        graph._index_of = index_of
-        graph._n = len(universe)
-        graph._block_counts = block_counts
-        graph._edge_positions = None
-        graph._weights_memo = None
-        graph._edge_keys = edge_keys
-        graph._edge_stats = edge_stats
-        return graph
-
-    def _accumulate_scalar(
-        self, collection: BlockCollection, in_focus: Optional[bytearray], need_arcs: bool
-    ) -> None:
-        """Pure-Python packed build, through the shared partition helpers.
-
-        Deliberately *not* a bespoke loop: the serial scalar build and
-        the parallel no-NumPy path must enumerate and fold identically,
-        so both run :func:`generate_packed_contributions` +
-        :func:`fold_packed_contributions` (one intermediate contribution
-        list is the price of a single source of truth).
-        """
-        keys, values = generate_packed_contributions(
-            collection, self._index_of, self._n, in_focus, need_arcs, self._block_counts
-        )
-        self._edge_keys, self._edge_stats = fold_packed_contributions(
-            keys, values, need_arcs
-        )
-
-    def _accumulate_vectorized(
-        self, collection: BlockCollection, in_focus: Optional[bytearray], need_arcs: bool
-    ) -> None:
-        """NumPy packed build: bulk pair generation + in-order reduction."""
-        key_segments, value_segments = generate_packed_segments(
-            collection, self._index_of, self._n, in_focus, need_arcs, self._block_counts
-        )
-        self._edge_keys, self._edge_stats = reduce_packed_segments(
-            key_segments, value_segments, need_arcs
-        )
-
-    # -- unpacked construction --------------------------------------------
-    def _build_unpacked(self, collection: BlockCollection, focus: Optional[Set[Any]]) -> None:
-        # Per-entity block membership counts and per-pair shared stats.
-        entity_blocks: Dict[Any, int] = {}
-        shared_blocks: Dict[Tuple[Any, Any], int] = {}
-        shared_arcs: Dict[Tuple[Any, Any], float] = {}
-        for block in collection:
-            members = safe_sorted(block.entities)
-            reciprocal = 1.0 / block.cardinality if block.cardinality else 0.0
-            for entity in members:
-                entity_blocks[entity] = entity_blocks.get(entity, 0) + 1
-            # Members are sorted, so (left, right) is already canonical.
-            for i, left in enumerate(members):
-                left_in_focus = focus is None or left in focus
-                for right in members[i + 1 :]:
-                    if not left_in_focus and right not in focus:
-                        continue
-                    pair = (left, right)
-                    shared_blocks[pair] = shared_blocks.get(pair, 0) + 1
-                    shared_arcs[pair] = shared_arcs.get(pair, 0.0) + reciprocal
-        self._entity_blocks = entity_blocks
-        self._shared_blocks = shared_blocks
-        self._shared_arcs = shared_arcs
-
-    # -- accessors ---------------------------------------------------------
     def __len__(self) -> int:
-        if self.packed:
-            return len(self._edge_keys)
-        return len(self._shared_blocks)
+        return len(self._edge_keys)
 
     def nodes(self) -> Set[Any]:
-        if self.packed:
-            return set(self._universe)
-        return set(self._entity_blocks)
+        return set(self._universe)
 
-    def _entity_boosts(self) -> List[float]:
-        """Per-entity ECBS log boosts, computed once (bulk) per graph."""
-        total = self._block_count
-        return [
-            math.log(total / count) if count else 0.0 for count in self._block_counts
-        ]
-
-    def _packed_weights(self):
+    def _weights(self) -> Any:
         """Per-edge weights in edge order, computed in bulk per scheme.
 
         Memoized: the graph is immutable after construction and WEP
         needs the array twice (average, then filter).
         """
         if self._weights_memo is None:
-            self._weights_memo = self._compute_packed_weights()
+            self._weights_memo = self._compute_weights()
         return self._weights_memo
 
-    def _compute_packed_weights(self):
+    def _compute_weights(self) -> Any:
         stats = self._edge_stats
         if self.scheme is WeightingScheme.ARCS:
             return stats
         if self.scheme is WeightingScheme.CBS:
-            if _np is not None and isinstance(stats, _np.ndarray):
-                return stats.astype(_np.float64)
-            return [float(common) for common in stats]
-        keys = self._edge_keys
-        n = self._n
-        if _np is not None and isinstance(stats, _np.ndarray):
-            left = keys // n
-            right = keys % n
-            counts = _np.asarray(self._block_counts, dtype=_np.int64)
-            if self.scheme is WeightingScheme.JS:
-                union = counts[left] + counts[right] - stats
-                with _np.errstate(divide="ignore", invalid="ignore"):
-                    weights = _np.where(union != 0, stats / union, 0.0)
-                return weights
-            # ECBS — math.log per entity (not np.log: bit-identical to
-            # the scalar baseline), bulk multiply per edge.
-            boosts = _np.asarray(self._entity_boosts(), dtype=_np.float64)
-            boost_left = boosts[left]
-            boost_right = boosts[right]
-            weights = stats * boost_left * boost_right
-            degenerate = (boost_left <= 0.0) | (boost_right <= 0.0)
-            return _np.where(degenerate, stats.astype(_np.float64), weights)
-        block_counts = self._block_counts
+            return stats.astype(np.float64)
+        left = self._edge_keys // self._n
+        right = self._edge_keys % self._n
+        counts = np.asarray(self._block_counts, dtype=np.int64)
         if self.scheme is WeightingScheme.JS:
-            weights = []
-            for key, common in zip(keys, stats):
-                left, right = divmod(key, n)
-                union = block_counts[left] + block_counts[right] - common
-                weights.append(common / union if union else 0.0)
-            return weights
-        boosts = self._entity_boosts()
-        weights = []
-        for key, common in zip(keys, stats):
-            left, right = divmod(key, n)
-            boost_left = boosts[left]
-            boost_right = boosts[right]
-            if boost_left <= 0.0 or boost_right <= 0.0:
-                weights.append(float(common))
-            else:
-                weights.append(common * boost_left * boost_right)
-        return weights
-
-    def _positions(self) -> Dict[int, int]:
-        """Packed key → edge position, built lazily for point lookups."""
-        positions = self._edge_positions
-        if positions is None:
-            keys = self._edge_keys
-            if _np is not None and isinstance(keys, _np.ndarray):
-                keys = keys.tolist()
-            positions = {key: i for i, key in enumerate(keys)}
-            self._edge_positions = positions
-        return positions
-
-    def weight(self, a: Any, b: Any) -> float:
-        """Edge weight of pair ``(a, b)`` under the configured scheme."""
-        if self.packed:
-            ia = self._index_of.get(a)
-            ib = self._index_of.get(b)
-            if ia is None or ib is None:
-                return 0.0
-            if ia > ib:
-                ia, ib = ib, ia
-            position = self._positions().get(ia * self._n + ib)
-            if position is None:
-                return 0.0
-            stat = self._edge_stats[position]
-            if self.scheme is WeightingScheme.ARCS:
-                return float(stat)
-            common = int(stat)
-            return self._scheme_weight(
-                common, self._block_counts[ia], self._block_counts[ib], 0.0
-            )
-        pair = ordered_pair(a, b)
-        common = self._shared_blocks.get(pair, 0)
-        if common == 0:
-            return 0.0
-        return self._scheme_weight(
-            common,
-            self._entity_blocks[pair[0]],
-            self._entity_blocks[pair[1]],
-            self._shared_arcs.get(pair, 0.0),
+            union = counts[left] + counts[right] - stats
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(union != 0, stats / union, 0.0)
+        # ECBS — math.log per entity (not np.log: bit-identical to the
+        # reference graph's scalar weights), bulk multiply per edge.
+        total = self._block_count
+        boosts = np.asarray(
+            [math.log(total / count) if count else 0.0 for count in self._block_counts],
+            dtype=np.float64,
         )
-
-    def _scheme_weight(self, common: int, blocks_a: int, blocks_b: int, arcs: float) -> float:
-        if self.scheme is WeightingScheme.CBS:
-            return float(common)
-        if self.scheme is WeightingScheme.ECBS:
-            total = self._block_count
-            boost_a = math.log(total / blocks_a) if total else 0.0
-            boost_b = math.log(total / blocks_b) if total else 0.0
-            # Guard degenerate single-block collections: keep CBS ordering.
-            if boost_a <= 0.0 or boost_b <= 0.0:
-                return float(common)
-            return common * boost_a * boost_b
-        if self.scheme is WeightingScheme.JS:
-            union = blocks_a + blocks_b - common
-            return common / union if union else 0.0
-        if self.scheme is WeightingScheme.ARCS:
-            return arcs
-        raise AssertionError(f"unhandled scheme {self.scheme!r}")
-
-    def _unpack(self, key: int) -> Tuple[Any, Any]:
-        left, right = divmod(key, self._n)
-        universe = self._universe
-        return universe[left], universe[right]
+        boost_left = boosts[left]
+        boost_right = boosts[right]
+        weights = stats * boost_left * boost_right
+        degenerate = (boost_left <= 0.0) | (boost_right <= 0.0)
+        return np.where(degenerate, stats.astype(np.float64), weights)
 
     def edges(self) -> Iterator[Tuple[Any, Any, float]]:
-        """Iterate ``(a, b, weight)`` over all edges.
-
-        Weights come from the bulk per-scheme computation in edge
-        (first-visit) order; the unpacked graph keeps the original
-        per-pair paths.
-        """
-        if self.packed:
-            keys = self._edge_keys
-            weights = self._packed_weights()
-            if _np is not None and isinstance(keys, _np.ndarray):
-                keys = keys.tolist()
-                weights = weights.tolist() if isinstance(weights, _np.ndarray) else weights
-            universe = self._universe
-            n = self._n
-            for key, weight in zip(keys, weights):
-                left, right = divmod(key, n)
-                yield universe[left], universe[right], float(weight)
-            return
-        if self.scheme is WeightingScheme.ARCS:
-            for (a, b), w in self._shared_arcs.items():
-                yield a, b, w
-            return
-        if self.scheme is WeightingScheme.CBS:
-            for (a, b), common in self._shared_blocks.items():
-                yield a, b, float(common)
-            return
-        for (a, b) in self._shared_blocks:
-            yield a, b, self.weight(a, b)
+        """Iterate ``(a, b, weight)`` over all edges, in edge order."""
+        universe = self._universe
+        n = self._n
+        for key, weight in zip(self._edge_keys.tolist(), self._weights().tolist()):
+            left, right = divmod(key, n)
+            yield universe[left], universe[right], float(weight)
 
     def average_weight(self) -> float:
         """Mean edge weight — WEP's global pruning criterion.
 
-        Summation runs left-to-right over edges in first-visit order on
-        both the packed and unpacked paths, so the threshold is the same
-        float either way.
+        Summed left-to-right in edge order (``cumsum``, never the
+        pairwise ``np.sum``), the same association a sequential Python
+        sum over the edges would use.
         """
         edge_count = len(self)
         if not edge_count:
             return 0.0
-        if self.packed:
-            weights = self._packed_weights()
-            if _np is not None and isinstance(weights, _np.ndarray):
-                # Sequential left-to-right summation in C (cumsum, never
-                # np.sum): bit-identical to the baseline's Python sum
-                # over the same edge order — pairwise summation would
-                # round differently.
-                return float(_np.cumsum(weights)[-1]) / edge_count
-            return sum(weights) / edge_count
-        if self.scheme is WeightingScheme.ARCS:
-            return sum(self._shared_arcs.values()) / edge_count
-        if self.scheme is WeightingScheme.CBS:
-            return sum(self._shared_blocks.values()) / edge_count
-        return sum(w for _, _, w in self.edges()) / edge_count
+        return float(np.cumsum(self._weights())[-1]) / edge_count
 
     def retained_key_array(self, threshold: float) -> Any:
         """Packed keys whose weight is at or above *threshold* (bulk).
 
-        The columnar pipeline consumes this directly — the keys keep
-        their edge order (ascending under the sorted-key reduction), so
-        the caller can unpack to id pairs without set materialization.
-        Packed graphs only.
+        The keys keep their edge order (ascending under
+        :func:`reduce_span_segments`), so the caller can unpack them to
+        id pairs without set materialization.
         """
-        keys = self._edge_keys
-        weights = self._packed_weights()
-        if _np is not None and isinstance(keys, _np.ndarray):
-            if not isinstance(weights, _np.ndarray):
-                weights = _np.asarray(weights, dtype=_np.float64)
-            return keys[weights >= threshold]
-        return [key for key, weight in zip(keys, weights) if weight >= threshold]
-
-    def retained_pairs(self, threshold: float) -> Set[Tuple[Any, Any]]:
-        """Canonical pairs whose weight is at or above *threshold*.
-
-        The packed path filters the weight array in bulk and only
-        unpacks the survivors; equivalent to filtering :meth:`edges`.
-        """
-        if self.packed:
-            keys = self._edge_keys
-            weights = self._packed_weights()
-            if _np is not None and isinstance(keys, _np.ndarray):
-                if not isinstance(weights, _np.ndarray):
-                    weights = _np.asarray(weights, dtype=_np.float64)
-                selected = keys[weights >= threshold].tolist()
-            else:
-                selected = [
-                    key for key, weight in zip(keys, weights) if weight >= threshold
-                ]
-            unpack = self._unpack
-            return {unpack(key) for key in selected}
-        return {(a, b) for a, b, w in self.edges() if w >= threshold}
-
-
-def edge_pruning(
-    collection: BlockCollection,
-    scheme: WeightingScheme = WeightingScheme.ARCS,
-    focus: Optional[Set[Any]] = None,
-    packed: bool = True,
-    executor: Optional[Any] = None,
-) -> Set[Tuple[Any, Any]]:
-    """Weighted Edge Pruning: return the retained comparison pairs.
-
-    Pairs whose edge weight is **at or above** the average survive.  The
-    result is a set of canonical unordered pairs; unlike BP/BF the output
-    is a pair set rather than a block collection, matching the graph-level
-    granularity of comparison-refinement methods.  With *focus*, the
-    graph (and therefore the average-weight threshold) is restricted to
-    focus-incident edges — the only edges the caller will execute.
-
-    *executor* (a
-    :class:`~repro.parallel.executor.ParallelComparisonExecutor`) shards
-    segment generation of large packed builds across its worker pool; the
-    deterministic merge guarantees the graph — weights, edge order,
-    retained pairs — is bit-identical to the serial build.
-    """
-    if packed and executor is not None and executor.wants_parallel_graph(collection):
-        graph = executor.build_blocking_graph(collection, scheme=scheme, focus=focus)
-    else:
-        graph = BlockingGraph(collection, scheme=scheme, focus=focus, packed=packed)
-    return graph.retained_pairs(graph.average_weight())
-
-
-def pairs_to_blocks(pairs: Iterable[Tuple[Any, Any]]) -> BlockCollection:
-    """Wrap retained pairs as 2-entity blocks (one block per pair).
-
-    Lets the Comparison-Execution stage keep a single block-oriented code
-    path regardless of whether Edge Pruning ran.
-    """
-    collection = BlockCollection()
-    for index, (a, b) in enumerate(sorted(pairs, key=repr)):
-        collection.put(Block(f"pair:{index}", (a, b)))
-    return collection
+        return self._edge_keys[self._weights() >= threshold]

@@ -164,10 +164,6 @@ class ProfileMatcher:
         Entry bound of each internal memo (token sets, pair scores).
         Both are LRU caches so sustained query traffic cannot grow them
         without limit.
-    fast_path:
-        Enable the signature cascade in :meth:`match_signatures`.  With
-        False every signature comparison takes the exact slow path —
-        used by the equivalence tests and the perf-regression baseline.
     """
 
     def __init__(
@@ -176,7 +172,6 @@ class ProfileMatcher:
         threshold: float = DEFAULT_THRESHOLD,
         exclude: Iterable[str] = (),
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
-        fast_path: bool = True,
     ):
         if not 0.0 <= threshold <= 1.0:
             raise ValueError("threshold must be within [0, 1]")
@@ -191,11 +186,12 @@ class ProfileMatcher:
         # the same string pair recur across thousands of comparisons.
         self._pair_cache = LRUCache(cache_capacity)
         # The cascade's upper bound is only valid for the default
-        # Jaro-Winkler (its prefix parameters are baked into the bound).
-        self.fast_path = fast_path and similarity is jaro_winkler
+        # Jaro-Winkler (its prefix parameters are baked into the bound);
+        # any other similarity takes the exact path of :meth:`matches`.
+        self.uses_cascade = similarity is jaro_winkler
         # Undecided cascade pairs use the long-string-optimized (but
-        # bit-identical) Jaro-Winkler; the slow path keeps the original
-        # so disabling the fast path reproduces pre-fast-path behavior.
+        # bit-identical) Jaro-Winkler; :meth:`matches` keeps the
+        # original, so it stays the exact reference.
         self._exact_similarity = (
             jaro_winkler_fast if similarity is jaro_winkler else similarity
         )
@@ -291,7 +287,7 @@ class ProfileMatcher:
         fall back entirely.
         """
         if (
-            not self.fast_path
+            not self.uses_cascade
             or left.exclude != self.exclude
             or right.exclude != self.exclude
         ):

@@ -1,42 +1,36 @@
-"""The columnar blocking pipeline: QBI → Block-Join → BP → BF → EP on arrays.
+"""The candidate-pair pipeline: QBI → Block-Join → BP → BF → EP on arrays.
 
-The Deduplicate operator's dict path re-materializes string-keyed
-:class:`~repro.er.blocking.Block` sets entity-by-entity for every query
-before the packed blocking graph can even start.  This module is the
-packed twin of that whole pre-comparison pipeline (paper §6.1(i)–(iii)):
-it derives the candidate-pair list straight from a table's
-:class:`~repro.er.blocking.TokenPostings` — the QBI is a token-id array
+Every Deduplicate query and the Batch Approach derive their candidate
+pairs here (paper §6.1(i)–(iii)), straight from a table's
+:class:`~repro.er.blocking.TokenPostings`: the QBI is a token-id array
 gathered from the forward CSR, Block-Join is the observation that an
 EQBI block *is* the table block (QE ⊆ E, and TBI and QBI share the
 blocking function), Block Purging and Block Filtering run vectorized on
 cardinality arrays, and Edge Pruning consumes postings spans directly
 through :func:`~repro.er.edge_pruning.generate_span_segments`.
 
-Equivalence contract (checked by the packed-blocking property suite):
-the packed pipeline produces the *same purge threshold* (exact integer,
-shared scalar walk) and the *same retained per-entity keys* (same
-``(|b|, key)`` order, same ceil arithmetic) as the dict path — both
-bit-exact.  For Edge Pruning, blocks are visited in canonical
-ascending-token-id order rather than the dict path's insertion order,
-so a pair's ARCS weight (and the average-weight threshold) may
-associate float additions differently; both paths sum sequentially, so
-weights are equal up to float association and the retained pair set —
-and therefore the match decisions — coincide unless an edge's weight
-sits within rounding distance of the pruning threshold *and* its
-contributions genuinely reassociate (the harness identity gate and the
-property suite observe full agreement on every workload).
+Equivalence contract with the paper-literal dict pipeline in
+:mod:`repro.er.reference` (checked by the packed-blocking property
+suite): the *same purge threshold* (exact integer, shared scalar walk)
+and the *same retained per-entity keys* (same ``(|b|, key)`` order, same
+ceil arithmetic) — both bit-exact.  For Edge Pruning, blocks are visited
+in ascending-token-id order rather than the dict collection's insertion
+order, so a pair's ARCS weight (and the average-weight threshold) may
+associate float additions differently; weights are equal up to float
+association, and the retained pair set — and therefore the match
+decisions — coincide unless an edge's weight sits within rounding
+distance of the pruning threshold *and* its contributions genuinely
+reassociate (the suites and the harness identity gates observe full
+agreement on every workload).
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, ContextManager, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, ContextManager, List, Optional, Set, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every packed derive
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None
+import numpy as np
 
 from repro.er.block_filtering import retained_assignment_mask
 from repro.er.block_purging import purge_threshold_from_sizes
@@ -57,12 +51,11 @@ def _no_timing(stage: str) -> ContextManager:
 
 @dataclass
 class PackedCandidates:
-    """One packed derivation's output: the pair list plus stage stats.
+    """One derivation's output: the pair list plus stage stats.
 
-    The stats mirror what the dict path's :class:`DedupStats` fields
-    record for the same frontier (block counts, ||EQBI|| before and
-    after meta-blocking), so the operator fills its instrumentation
-    identically on either path.
+    The stats are what :class:`~repro.core.dedup_operator.DedupStats`
+    records per frontier: QBI/EQBI block counts and ||EQBI|| before and
+    after meta-blocking.
     """
 
     pairs: List[Tuple[Any, Any]]
@@ -70,18 +63,6 @@ class PackedCandidates:
     eqbi_blocks: int
     comparisons_before: int
     comparisons_after: int
-
-
-def packed_blocking_supported(config: Any) -> bool:
-    """Whether the columnar pipeline can serve *config*.
-
-    Requires NumPy, the ``packed_blocking`` flag, and — when Edge
-    Pruning is enabled — the packed graph build (the array pipeline has
-    no unpacked graph to hand its spans to).
-    """
-    if _np is None or not getattr(config, "packed_blocking", False):
-        return False
-    return not config.pruning or config.packed_graph
 
 
 def derive_candidates(
@@ -93,16 +74,14 @@ def derive_candidates(
 ) -> PackedCandidates:
     """Candidate pairs of *frontier* under *config*, fully array-derived.
 
-    *timed* is the operator's ``ExecutionContext.timed`` hook; stages
-    are attributed exactly as the dict path attributes them
-    (``block-join`` for QBI + Block-Join, ``meta-blocking`` for
-    BP/BF/EP, ``resolution`` for pair materialization).  *executor* is
+    *timed* is the caller's ``ExecutionContext.timed`` hook; stages are
+    attributed as ``block-join`` (QBI + Block-Join), ``meta-blocking``
+    (BP/BF/EP) and ``resolution`` (pair materialization).  *executor* is
     the optional parallel handle: large graph builds shard their
     postings spans across its worker pool.
     """
     timed = timed or _no_timing
-    np = _np
-    inject("packed.derive")  # packed-path failure → operator falls back to dict
+    inject("packed.derive")
 
     # (i) Query Blocking + (ii) Block-Join.  The EQBI block of a QBI key
     # is the key's full table posting (frontier entities already carry
@@ -115,8 +94,7 @@ def derive_candidates(
         comparisons_before = int((sizes * (sizes - 1) // 2).sum())
 
     with timed("meta-blocking"):
-        # Singleton blocks yield no comparisons (the dict path's
-        # ``non_singleton`` precondition before purging).
+        # Singleton blocks yield no comparisons.
         keep = sizes >= 2
         tokens = tokens[keep]
         sizes = sizes[keep]
@@ -132,7 +110,7 @@ def derive_candidates(
         indptr, members = postings.members_of(tokens)
 
         # (iii)b Block Filtering — per-entity top-k retention over flat
-        # assignment arrays, with the dict path's (|b|, key) tie-break.
+        # assignment arrays, ties broken by (|b|, key string).
         if config.filtering and len(tokens):
             counts = np.diff(indptr)
             block_of = np.repeat(np.arange(len(tokens), dtype=np.int64), counts)
@@ -149,8 +127,7 @@ def derive_candidates(
             members = members[mask]
             block_of = block_of[mask]
             new_counts = np.bincount(block_of, minlength=len(tokens)).astype(np.int64)
-            # Blocks reduced below two entities are dropped
-            # (``non_singleton`` after restructuring).
+            # Blocks reduced below two entities are dropped.
             survives = new_counts >= 2
             assignment_survives = survives[block_of]
             members = members[assignment_survives]
@@ -165,7 +142,7 @@ def derive_candidates(
             return PackedCandidates([], qbi_blocks, eqbi_blocks, comparisons_before, 0)
 
         # Dense postings ids → the graph's canonical universe (sorted
-        # actual entity ids, exactly prepare_packed_universe's order).
+        # actual entity ids).
         unique_dense = np.unique(members)
         dense_ids = postings.entity_ids_of(unique_dense)
         universe = safe_sorted(dense_ids)
@@ -186,7 +163,7 @@ def derive_candidates(
         # (iii)c Edge Pruning — the packed graph fed by postings spans.
         if config.pruning:
             graph = _span_graph(
-                members_u, indptr, sizes, universe, index_of, config.weighting,
+                members_u, indptr, sizes, universe, config.weighting,
                 in_focus, block_count, executor,
             )
             retained_keys = graph.retained_key_array(graph.average_weight())
@@ -207,7 +184,6 @@ def _span_graph(
     indptr: Any,
     sizes: Any,
     universe: List[Any],
-    index_of: dict,
     scheme: Any,
     in_focus: bytearray,
     block_count: int,
@@ -217,7 +193,7 @@ def _span_graph(
     total_comparisons = int((sizes * (sizes - 1) // 2).sum())
     if executor is not None and executor.wants_parallel_spans(total_comparisons):
         return executor.build_span_graph(
-            members_u, indptr, sizes, universe, index_of, scheme, in_focus
+            members_u, indptr, sizes, universe, scheme, in_focus
         )
     need_arcs = scheme is WeightingScheme.ARCS
     key_segments, value_segments, block_counts = generate_span_segments(
@@ -226,8 +202,8 @@ def _span_graph(
     edge_keys, edge_stats = reduce_span_segments(
         key_segments, value_segments, need_arcs
     )
-    return BlockingGraph.from_arrays(
-        scheme, block_count, universe, index_of, block_counts.tolist(),
+    return BlockingGraph(
+        scheme, block_count, universe, block_counts.tolist(),
         edge_keys, edge_stats,
     )
 
@@ -240,11 +216,8 @@ def _enumerate_pair_keys(
 ) -> Any:
     """Frontier-incident packed pair keys when Edge Pruning is disabled.
 
-    Deduplicated in ascending-key order — the same pair *set* the dict
-    path enumerates from its refined collection (its visit order
-    differs; order never affects results).
+    Deduplicated, in ascending-key order.
     """
-    np = _np
     key_segments, _, _ = generate_span_segments(
         members_u, indptr, 0, len(indptr) - 1, n, in_focus, need_arcs=False
     )
@@ -255,7 +228,6 @@ def _enumerate_pair_keys(
 
 def _unpack_pairs(keys: Any, universe: List[Any], n: int) -> List[Tuple[Any, Any]]:
     """Packed keys → canonical ``(left, right)`` id pairs, vectorized."""
-    np = _np
     if not len(keys):
         return []
     keys = np.asarray(keys, dtype=np.int64)

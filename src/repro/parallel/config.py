@@ -110,8 +110,8 @@ class ExecutionConfig:
         memory-heavy parent can cost ~100 ms, so the sharded work must
         comfortably exceed that.
     min_parallel_comparisons:
-        Block-collection cardinality below which the blocking graph is
-        built serially.  Sized like ``min_parallel_pairs``, noting that
+        Total block cardinality Σ||b|| below which the blocking graph
+        is built serially.  Sized like ``min_parallel_pairs``, noting that
         per-comparison segment generation is far cheaper than a
         matcher cascade.
     partitions_per_worker:

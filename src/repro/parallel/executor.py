@@ -4,8 +4,8 @@
 engine talks to.  Per invocation it
 
 1. asks the :class:`~repro.parallel.planner.PartitionPlanner` for
-   balanced contiguous spans of the work (candidate pairs, or blocks of
-   a graph build),
+   balanced contiguous spans of the work (candidate pairs, or postings
+   blocks of a graph build),
 2. pre-builds every profile signature the spans touch — workers treat
    signature state as read-only,
 3. runs the spans on a :class:`~repro.parallel.pool.WorkerPool`
@@ -43,7 +43,7 @@ from typing import (
     Tuple,
 )
 
-from repro.er.edge_pruning import BlockingGraph, WeightingScheme, prepare_packed_universe
+from repro.er.edge_pruning import BlockingGraph, WeightingScheme
 from repro.er.matching import ProfileMatcher, ProfileSignature
 from repro.er.util import LRUCache
 from repro.parallel.config import ExecutionConfig
@@ -52,20 +52,16 @@ from repro.parallel.planner import PartitionPlanner
 from repro.parallel.pool import WorkerPool
 from repro.parallel.shards import ShardRuntime, ShardUnavailable
 from repro.parallel.tasks import (
-    GraphPayload,
-    GraphTask,
     MatchPayload,
     MatchTask,
     SpanPayload,
     SpanTask,
-    run_graph_task,
     run_match_task,
     run_span_task,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.indices import TableIndex
-    from repro.er.blocking import BlockCollection
 
 
 class _LazySignatures:
@@ -158,14 +154,6 @@ class ParallelComparisonExecutor:
     def should_parallelize_pairs(self, pair_count: int) -> bool:
         return self.parallel and pair_count >= self.config.min_parallel_pairs
 
-    def wants_parallel_graph(self, collection: "BlockCollection") -> bool:
-        """Whether a packed graph over *collection* should use the pool."""
-        return (
-            self.parallel
-            and self.config.parallel_graph
-            and collection.cardinality >= self.config.min_parallel_comparisons
-        )
-
     def wants_parallel_spans(self, total_comparisons: int) -> bool:
         """Whether a postings-span graph build should use the pool."""
         return (
@@ -243,54 +231,19 @@ class ParallelComparisonExecutor:
         return signatures
 
     # -- blocking graph --------------------------------------------------
-    def build_blocking_graph(
-        self,
-        collection: "BlockCollection",
-        scheme: WeightingScheme = WeightingScheme.ARCS,
-        focus: Optional[Set[Any]] = None,
-    ) -> BlockingGraph:
-        """Packed graph built by partitioned segment generation.
-
-        The universe mapping is prepared once (serial), block spans are
-        balanced by comparison cardinality, and workers generate each
-        span's packed pair segments; the merge reassembles global block
-        visit order, so the resulting graph is bit-identical to
-        ``BlockingGraph(collection, packed=True)``.
-        """
-        self.stats["parallel_graph_builds"] += 1
-        universe, index_of, in_focus = prepare_packed_universe(collection, focus)
-        blocks = list(collection)
-        need_arcs = scheme is WeightingScheme.ARCS
-        payload = GraphPayload(blocks, index_of, len(universe), in_focus, need_arcs)
-        partitions = self.planner.partition_blocks(blocks)
-        tasks = [GraphTask(p.index, p.start, p.stop) for p in partitions]
-        results = self._pool().run(
-            run_graph_task, tasks, payload
-        )
-        edge_keys, edge_stats, block_counts = DeterministicMerger.merge_graph_segments(
-            results, len(universe), need_arcs
-        )
-        return BlockingGraph.from_arrays(
-            scheme, len(collection), universe, index_of, block_counts,
-            edge_keys, edge_stats,
-        )
-
     def build_span_graph(
         self,
         members: Any,
         indptr: Any,
         sizes: Any,
         universe: List[Any],
-        index_of: Dict[Any, int],
         scheme: WeightingScheme,
         in_focus: Optional[bytearray],
     ) -> BlockingGraph:
         """Packed graph from postings spans, sharded across the pool.
 
-        The columnar twin of :meth:`build_blocking_graph`: the
-        :class:`~repro.parallel.planner.PartitionPlanner` plans directly
-        over the blocks' cardinality array (no ``Block`` objects exist),
-        workers run
+        The :class:`~repro.parallel.planner.PartitionPlanner` plans over
+        the blocks' cardinality array, workers run
         :func:`~repro.er.edge_pruning.generate_span_segments` on their
         span, and the deterministic merge reassembles canonical block
         order — bit-identical to the serial span build.
@@ -318,8 +271,8 @@ class ParallelComparisonExecutor:
         edge_keys, edge_stats, block_counts = DeterministicMerger.merge_span_segments(
             results, len(universe), need_arcs
         )
-        return BlockingGraph.from_arrays(
-            scheme, len(indptr) - 1, universe, index_of, block_counts,
+        return BlockingGraph(
+            scheme, len(indptr) - 1, universe, block_counts,
             edge_keys, edge_stats,
         )
 

@@ -11,14 +11,9 @@ subsystem's core guarantee, checked by the equivalence property tests.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
-from repro.er.edge_pruning import (
-    _np,
-    fold_packed_contributions,
-    reduce_packed_segments,
-    reduce_span_segments,
-)
+from repro.er.edge_pruning import reduce_span_segments
 from repro.er.matching import ProfileMatcher
 from repro.parallel.tasks import GraphResult, MatchResult
 
@@ -51,51 +46,13 @@ class DeterministicMerger:
 
     # -- blocking graph --------------------------------------------------
     @staticmethod
-    def merge_graph_segments(
+    def merge_span_segments(
         results: Iterable[GraphResult], n: int, need_arcs: bool
     ) -> Tuple[Any, Any, List[int]]:
         """(edge_keys, edge_stats, block_counts) from partition segments.
 
-        Concatenating per-partition contribution arrays in partition
-        order reassembles the global block visit order; the reduction is
-        then the very same in-order pass the serial build runs
-        (:func:`~repro.er.edge_pruning.reduce_packed_segments`), so edge
-        order and float accumulation match bit for bit.  Block-membership
-        counts are integer sums — associative, exact in any order.
-        """
-        ordered = sorted(results, key=lambda r: r.partition)
-        block_counts = [0] * n
-        for result in ordered:
-            for position, count in result.touched_counts.items():
-                block_counts[position] += count
-        if _np is not None:
-            key_segments = [r.keys for r in ordered if len(r.keys)]
-            value_segments = (
-                [r.values for r in ordered if r.values is not None and len(r.values)]
-                if need_arcs
-                else []
-            )
-            edge_keys, edge_stats = reduce_packed_segments(
-                key_segments, value_segments, need_arcs
-            )
-        else:  # pragma: no cover - the container bakes numpy in
-            keys: List[int] = []
-            values: List[float] = []
-            for result in ordered:
-                keys.extend(result.keys)
-                if need_arcs and result.values is not None:
-                    values.extend(result.values)
-            edge_keys, edge_stats = fold_packed_contributions(keys, values, need_arcs)
-        return edge_keys, edge_stats, block_counts
-
-    @staticmethod
-    def merge_span_segments(
-        results: Iterable["GraphResult"], n: int, need_arcs: bool
-    ) -> Tuple[Any, Any, List[int]]:
-        """Span-build merge under the columnar pipeline's contract.
-
-        Same partition-order concatenation as
-        :meth:`merge_graph_segments`, reduced through
+        Partition-order concatenation reassembles the global block visit
+        order, reduced through
         :func:`~repro.er.edge_pruning.reduce_span_segments`: the stable
         key sort keeps per-key contributions in global block visit
         order, so the merged arrays equal the serial span build's

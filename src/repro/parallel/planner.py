@@ -4,8 +4,8 @@ Two things get partitioned:
 
 * the canonical **candidate-pair list** Comparison-Execution matches
   (unit cost ≈ one signature cascade), and
-* the **block list** whose packed pair segments the blocking-graph build
-  generates (unit cost ≈ the block's comparison cardinality ||b||).
+* the **postings blocks** whose packed pair segments the blocking-graph
+  build generates (unit cost ≈ the block's comparison cardinality ||b||).
 
 Partitions are always *contiguous spans* of the input sequence.  That is
 the load-bearing property of the whole subsystem: concatenating
@@ -18,9 +18,7 @@ boundaries, not from reordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Sequence
-
-from repro.er.blocking import Block
+from typing import List, Sequence
 
 
 @dataclass(frozen=True)
@@ -77,23 +75,15 @@ class PartitionPlanner:
                 partitions.append(Partition(len(partitions), start, stop))
         return partitions
 
-    # -- block partitioning ------------------------------------------------
-    def partition_blocks(self, blocks: Sequence[Block]) -> List[Partition]:
-        """Contiguous block spans balanced by comparison cardinality.
-
-        Greedy span cutting against the ideal per-partition cost: a span
-        closes once its accumulated ||b|| reaches the remaining-work
-        average.  Oversized single blocks become singleton partitions —
-        they cannot be split without breaking visit-order contiguity.
-        """
-        return self.partition_costs([max(1, block.cardinality) for block in blocks])
-
+    # -- cost-weighted partitioning ----------------------------------------
     def partition_costs(self, costs: Sequence[int]) -> List[Partition]:
         """Contiguous spans of a cost-weighted item sequence.
 
-        The cost-array twin of :meth:`partition_blocks` — the columnar
-        blocking pipeline plans directly over postings spans by handing
-        in each block's ||b|| without materializing ``Block`` objects.
+        Greedy span cutting against the ideal per-partition cost: a span
+        closes once its accumulated cost reaches the remaining-work
+        average.  Oversized single items become singleton partitions —
+        they cannot be split without breaking visit-order contiguity.
+        The blocking-graph build hands in each postings block's ||b||.
         """
         costs = [max(1, int(cost)) for cost in costs]
         total = sum(costs)

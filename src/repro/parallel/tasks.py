@@ -1,7 +1,7 @@
 """Task payloads and worker entry points of the parallel subsystem.
 
 The payload protocol is built around Linux ``fork``: the orchestrator
-deposits one :class:`MatchPayload` / :class:`GraphPayload` in this
+deposits one :class:`MatchPayload` / :class:`SpanPayload` in this
 module's ``_PAYLOAD`` slot, *then* creates the pool.  Forked workers
 inherit the payload through copy-on-write memory, so the only objects
 that ever cross a process boundary are the task descriptors (three
@@ -18,12 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.er.edge_pruning import (
-    _np,
-    generate_packed_contributions,
-    generate_packed_segments,
-    generate_span_segments,
-)
+import numpy as np
+
+from repro.er.edge_pruning import generate_span_segments
 from repro.er.matching import ProfileMatcher, ProfileSignature
 
 #: The invocation payload forked workers inherit (see module docstring).
@@ -117,43 +114,13 @@ def run_match_task(task: MatchTask) -> MatchResult:
 # -- blocking-graph segment generation --------------------------------------
 
 
-class GraphPayload:
-    """Shared state of one partitioned blocking-graph build."""
-
-    __slots__ = ("blocks", "index_of", "n", "in_focus", "need_arcs")
-
-    def __init__(
-        self,
-        blocks: Sequence[Any],
-        index_of: Dict[Any, int],
-        n: int,
-        in_focus: Optional[bytearray],
-        need_arcs: bool,
-    ):
-        self.blocks = blocks
-        self.index_of = index_of
-        self.n = n
-        self.in_focus = in_focus
-        self.need_arcs = need_arcs
-
-
-@dataclass(frozen=True)
-class GraphTask:
-    """One contiguous block span whose pair segments a worker generates."""
-
-    partition: int
-    start: int
-    stop: int
-
-
 @dataclass(frozen=True)
 class GraphResult:
     """One span's packed contributions, in that span's block visit order.
 
-    ``keys``/``values`` are NumPy arrays (or plain lists on the no-NumPy
-    fallback); ``touched_counts`` maps dense entity index → block
-    membership increment, kept sparse so a result pickles in size
-    proportional to the span, not the universe.
+    ``keys``/``values`` are NumPy arrays; ``touched_counts`` maps dense
+    entity index → block membership increment, kept sparse so a result
+    pickles in size proportional to the span, not the universe.
     """
 
     partition: int
@@ -165,10 +132,9 @@ class GraphResult:
 class SpanPayload:
     """Shared state of one partitioned postings-span graph build.
 
-    The columnar twin of :class:`GraphPayload`: instead of ``Block``
-    objects plus a dense-index dict, workers get two contiguous arrays
-    (universe-position members grouped by block, and the block index
-    pointer) — copy-on-write friendly and free of per-entity lookups.
+    Workers get two contiguous arrays (universe-position members grouped
+    by block, and the block index pointer) — copy-on-write friendly and
+    free of per-entity lookups.
     """
 
     __slots__ = ("members", "indptr", "n", "in_focus", "need_arcs")
@@ -219,16 +185,16 @@ def compute_span_result(
         members, indptr, start, stop, n, in_focus, need_arcs,
     )
     keys = (
-        _np.concatenate(key_segments)
+        np.concatenate(key_segments)
         if key_segments
-        else _np.empty(0, dtype=_np.int64)
+        else np.empty(0, dtype=np.int64)
     )
     values = (
-        _np.concatenate(value_segments)
+        np.concatenate(value_segments)
         if need_arcs and value_segments
         else None
     )
-    touched_positions = _np.nonzero(block_counts)[0]
+    touched_positions = np.nonzero(block_counts)[0]
     touched = {
         int(position): int(block_counts[position]) for position in touched_positions
     }
@@ -243,33 +209,3 @@ def run_span_task(task: SpanTask) -> GraphResult:
         payload.n, payload.in_focus, payload.need_arcs, task.partition,
     )
 
-
-def run_graph_task(task: GraphTask) -> GraphResult:
-    """Worker entry: generate packed pair segments for one block span."""
-    payload: GraphPayload = current_payload()  # type: ignore[assignment]
-    blocks = payload.blocks[task.start : task.stop]
-    block_counts = [0] * payload.n
-    if _np is not None:
-        key_segments, value_segments = generate_packed_segments(
-            blocks, payload.index_of, payload.n, payload.in_focus,
-            payload.need_arcs, block_counts,
-        )
-        keys = (
-            _np.concatenate(key_segments)
-            if key_segments
-            else _np.empty(0, dtype=_np.int64)
-        )
-        values = (
-            _np.concatenate(value_segments)
-            if payload.need_arcs and value_segments
-            else None
-        )
-    else:  # pragma: no cover - the container bakes numpy in
-        keys, values = generate_packed_contributions(
-            blocks, payload.index_of, payload.n, payload.in_focus,
-            payload.need_arcs, block_counts,
-        )
-        if not payload.need_arcs:
-            values = None
-    touched = {i: count for i, count in enumerate(block_counts) if count}
-    return GraphResult(task.partition, keys, values, touched)

@@ -180,12 +180,16 @@ def meta_blocking_state(config: Any) -> Dict[str, Any]:
         "smoothing_factor": config.smoothing_factor,
         "filter_ratio": config.filter_ratio,
         "weighting": config.weighting.value,
-        "packed_graph": config.packed_graph,
-        "packed_blocking": config.packed_blocking,
     }
 
 
 def meta_blocking_from_state(state: Dict[str, Any]) -> Any:
+    """The config a manifest records; keys it does not name are ignored.
+
+    Older manifests also carry ``packed_graph`` and ``packed_blocking``,
+    flags of blocking builds that no longer exist; every build now
+    yields the pairs those manifests were written under.
+    """
     from repro.er.meta_blocking import MetaBlockingConfig, WeightingScheme
 
     return MetaBlockingConfig(
@@ -195,8 +199,6 @@ def meta_blocking_from_state(state: Dict[str, Any]) -> Any:
         smoothing_factor=state["smoothing_factor"],
         filter_ratio=state["filter_ratio"],
         weighting=WeightingScheme(state["weighting"]),
-        packed_graph=state["packed_graph"],
-        packed_blocking=state["packed_blocking"],
     )
 
 

@@ -10,16 +10,17 @@ Two halves, used together by the chaos property suite and the CI
   --faults``) decides deterministically which calls raise or hang.
 
 * :mod:`repro.resilience.degradation` — the **degradation log**: every
-  graceful fallback (partition retry, serial re-run, packed→dict
-  blocking fallback, DML rollback, serving 500) is recorded in the
+  graceful fallback (partition retry, serial re-run, DML rollback,
+  serving 500) is recorded in the
   process-wide :data:`DEGRADATION` log, which ``GET /metrics`` and
   ``GET /healthz`` surface.
 
 The recovery policies themselves live in the layers they protect:
 ``WorkerPool.run`` (retry-then-serial-fallback, task timeouts),
 ``IndexMaintainer.append`` (transactional rollback), the Deduplicate
-operator (packed→dict fallback), and ``EngineService`` (errors never
-leak admission slots or the engine gate).
+operator (the Link Index is amended only once a query succeeds), and
+``EngineService`` (errors never leak admission slots or the engine
+gate).
 """
 
 from repro.resilience.degradation import DEGRADATION, DegradationEvent, DegradationLog

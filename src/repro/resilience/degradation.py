@@ -2,10 +2,9 @@
 
 Graceful degradation that nobody can observe is indistinguishable from
 silent data loss.  Whenever a layer survives a failure by doing *less*
-— a worker partition retried or re-run serially, the packed blocking
-pipeline falling back to the dict path, an ``INSERT INTO`` rolled back,
-a serving handler answering 500 instead of results — it records the
-event here, and the serving layer surfaces the log under
+— a worker partition retried or re-run serially, an ``INSERT INTO``
+rolled back, a serving handler answering 500 instead of results — it
+records the event here, and the serving layer surfaces the log under
 ``GET /metrics`` (full snapshot) and ``GET /healthz``
 (``degraded: true`` plus per-layer counts).
 

@@ -25,7 +25,7 @@ site                      where it fires
 ``dml.after_append``      between storage append and TBI/ITBI amendment
 ``dml.index_delta``       per-entity inside ``TableIndex.add_records``
 ``dml.before_commit``     after index amendment, before the epoch advances
-``packed.derive``         entry of the packed blocking pipeline
+``packed.derive``         entry of candidate derivation (fails the query)
 ``serving.handler``       inside the serving gate, before engine execution
 ``serving.slow``          inside the serving gate (``hang`` kind)
 ``persist.write``         before a snapshot file's temp write starts

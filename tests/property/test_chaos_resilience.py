@@ -4,10 +4,10 @@ The resilience contract, stated as a property: under ANY deterministic
 fault plan drawn over the engine's fault sites, a DEDUP query either
 
 * answers **bit-identically** to the fault-free baseline (recovery was
-  transparent: retried partitions, serial fallbacks, packed→dict
-  degradation), or
+  transparent: retried partitions, serial fallbacks), or
 * raises a **typed** error (:class:`TaskExecutionError`,
-  :class:`IngestError` — never a half-written result, never a raw
+  :class:`IngestError`, or the :class:`FaultError` of a failed
+  candidate derivation — never a half-written result, never a raw
   internal traceback from a partially mutated engine),
 
 and in *both* cases the engine keeps serving exact answers once the
@@ -34,7 +34,8 @@ from repro.storage.table import Table
 
 #: Errors the contract allows a faulted operation to surface.  A raw
 #: FaultError is legal only from sites whose stage is atomic on its own
-#: (storage staging); recovery layers otherwise wrap or absorb it.
+#: (storage staging, candidate derivation: a failed DEDUP amends no
+#: Link Index); recovery layers otherwise wrap or absorb it.
 TYPED_ERRORS = (TaskExecutionError, IngestError, FaultError)
 
 #: The sites chaos draws from, with the kind each one must use.

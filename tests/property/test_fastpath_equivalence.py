@@ -1,22 +1,22 @@
-"""Fast-path equivalence: DEDUP with every fast path on ≡ all off.
+"""Fast-path equivalence: DEDUP as shipped ≡ DEDUP on the exact references.
 
 The Comparison-Execution fast path (packed blocking graph, interned-token
 signatures, similarity short-circuit cascade) promises *exact* results —
 not approximate ones.  These properties run the full Deduplicate operator
-twice on randomized tables, once with all fast paths enabled (the
-shipped defaults) and once with all of them disabled (packed graphs off,
-matcher cascade off), and require identical matches, clusters and
-linksets.
+twice on randomized tables, once as shipped and once on the references
+(the dict pipeline of :mod:`repro.er.reference` for candidate pairs,
+``ProfileMatcher.matches`` for every decision), and require identical
+matches, clusters and linksets.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference_oracles import ExactMatcher, ReferenceOperator
+
 from repro.core.dedup_operator import DeduplicateOperator
 from repro.core.indices import TableIndex
 from repro.datagen import generate_people
-from repro.er.blocking import BlockCollection
-from repro.er.edge_pruning import BlockingGraph, WeightingScheme, edge_pruning
 from repro.er.matching import ProfileMatcher
 from repro.er.meta_blocking import MetaBlockingConfig
 from repro.storage.schema import Schema
@@ -25,12 +25,11 @@ from repro.storage.table import Table
 
 def dedup(table, query_ids, fast: bool, meta_all: bool = True):
     index = TableIndex(table)
-    matcher = ProfileMatcher(exclude=(table.schema.id_column,), fast_path=fast)
-    if meta_all:
-        config = MetaBlockingConfig(packed_graph=fast)
-    else:
-        config = MetaBlockingConfig.none()
-    operator = DeduplicateOperator(index, matcher=matcher, meta_blocking=config)
+    exclude = (table.schema.id_column,)
+    matcher = ProfileMatcher(exclude=exclude) if fast else ExactMatcher(exclude=exclude)
+    config = MetaBlockingConfig() if meta_all else MetaBlockingConfig.none()
+    operator_class = DeduplicateOperator if fast else ReferenceOperator
+    operator = operator_class(index, matcher=matcher, meta_blocking=config)
     return operator.deduplicate(query_ids)
 
 
@@ -94,35 +93,3 @@ class TestRandomTables:
         query_ids = [row.id for position, row in enumerate(table) if position % modulus == 0]
         assert_identical(dedup(table, query_ids, True), dedup(table, query_ids, False))
 
-
-# Random block collections, as in the meta-blocking properties.
-_assignments = st.lists(
-    st.tuples(st.integers(min_value=0, max_value=15), st.integers(min_value=0, max_value=40)),
-    max_size=120,
-)
-
-
-class TestPackedGraph:
-    """Packed (array-based) blocking graph ≡ the unpacked baseline."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(pairs=_assignments, scheme=st.sampled_from(list(WeightingScheme)), focused=st.booleans())
-    def test_weights_edges_and_pruning_identical(self, pairs, scheme, focused):
-        collection = BlockCollection()
-        for key, entity in pairs:
-            collection.add(f"k{key}", f"e{entity}")
-        focus = {f"e{i}" for i in range(0, 41, 3)} if focused else None
-        packed = BlockingGraph(collection, scheme=scheme, focus=focus, packed=True)
-        unpacked = BlockingGraph(collection, scheme=scheme, focus=focus, packed=False)
-        assert len(packed) == len(unpacked)
-        assert packed.nodes() == unpacked.nodes()
-        packed_edges = list(packed.edges())
-        unpacked_edges = list(unpacked.edges())
-        assert packed_edges == unpacked_edges  # same order, bit-identical weights
-        assert packed.average_weight() == unpacked.average_weight()
-        for a, b, w in unpacked_edges[:20]:
-            assert packed.weight(a, b) == w
-            assert packed.weight(b, a) == w
-        assert edge_pruning(collection, scheme=scheme, focus=focus, packed=True) == (
-            edge_pruning(collection, scheme=scheme, focus=focus, packed=False)
-        )

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from repro.er.block_filtering import block_filtering
 from repro.er.block_purging import block_purging, purge_threshold
 from repro.er.blocking import BlockCollection, TokenBlocking
-from repro.er.meta_blocking import MetaBlockingConfig, apply_meta_blocking
+from repro.er.meta_blocking import MetaBlockingConfig
+from repro.er.reference import apply_meta_blocking
 
 # Random block collections: key index → subset of a small entity universe.
 assignments = st.lists(

@@ -1,33 +1,42 @@
-"""Property: packed (columnar) blocking ≡ dict blocking, end to end.
+"""Property: packed (columnar) blocking ≡ the dict reference, end to end.
 
-The columnar blocking pipeline's contract: for any table, frontier and
+The production pipeline's contract: for any table, frontier and
 meta-blocking configuration it derives the *same purge threshold*, the
-*same retained per-entity keys*, the *same candidate-pair set* and the
-*same DEDUP result* as the dict TBI pipeline — including after
-``INSERT INTO`` postings deltas (no index rebuild) and at every worker
-width.  These tests drive both pipelines over random tables, filter
-ratios and append splits and compare every observable.
+*same retained per-entity keys*, the *same blocking-graph weights*, the
+*same candidate-pair set* and the *same DEDUP result* as the
+paper-literal dict pipeline of :mod:`repro.er.reference` — for query
+frontiers, the Batch Approach's whole-table frontier, the empty frontier
+and rows with no blocking key, after ``INSERT INTO`` postings deltas (no
+index rebuild) and at every worker width.  These tests drive both
+pipelines over random tables, filter ratios, weighting schemes and
+append splits and compare every observable.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference_oracles import ReferenceEngine, ReferenceOperator, span_graph
 
 from repro.core.dedup_operator import DedupStats, DeduplicateOperator
 from repro.core.engine import QueryEREngine
 from repro.core.indices import TableIndex
 from repro.datagen import generate_people
+from repro.er import reference
 from repro.er.block_filtering import retained_assignment_mask, retained_keys
 from repro.er.block_purging import purge_threshold, purge_threshold_from_sizes
-from repro.er.blocking import BlockCollection, TokenPostings
+from repro.er.blocking import BlockCollection
+from repro.er.edge_pruning import WeightingScheme
 from repro.er.meta_blocking import MetaBlockingConfig
+from repro.er.packed_blocking import derive_candidates
 from repro.er.tokenizer import TokenVocabulary
 from repro.parallel import ExecutionConfig
+from repro.storage.table import Table
 
 CONFIGS = (
     MetaBlockingConfig.all(),
@@ -63,8 +72,9 @@ def engine_for(table, packed: bool, workers: int = 1) -> QueryEREngine:
             min_parallel_comparisons=0,
         )
     )
-    engine = QueryEREngine(
-        meta_blocking=MetaBlockingConfig(packed_blocking=packed),
+    engine_class = QueryEREngine if packed else ReferenceEngine
+    engine = engine_class(
+        meta_blocking=MetaBlockingConfig(),
         execution=execution,
         sample_stats=False,
     )
@@ -131,6 +141,91 @@ class TestStageEquivalence:
             )
 
 
+class TestGraphEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(assignments, st.sampled_from(list(WeightingScheme)), st.booleans())
+    def test_span_graph_equals_reference_graph(self, pairs, scheme, focused):
+        """Same edges with bit-identical weights; the average differs at
+        most by float association (edge order differs), so both graphs
+        retain the same pairs at the same threshold."""
+        collection = build_collection(pairs)
+        focus = {f"e{i}" for i in range(0, 26, 3)} if focused else None
+        packed = span_graph(collection, scheme=scheme, focus=focus)
+        expected = reference.UnpackedBlockingGraph(collection, scheme=scheme, focus=focus)
+        assert len(packed) == len(expected)
+        assert packed.nodes() == expected.nodes()
+        weights = {(a, b): w for a, b, w in packed.edges()}
+        assert weights == {(a, b): w for a, b, w in expected.edges()}
+        assert math.isclose(
+            packed.average_weight(), expected.average_weight(), rel_tol=1e-12
+        )
+        threshold = expected.average_weight()
+        kept = {(a, b) for a, b, w in packed.edges() if w >= threshold}
+        assert kept == expected.retained_pairs(threshold)
+        assert len(packed.retained_key_array(threshold)) == len(kept)
+
+
+def with_tokenless_rows(table, count: int) -> Table:
+    """*table* plus *count* rows no blocking key can come from."""
+    width = len(table.schema.columns) - 1
+    filler = [(None,) * width, ("-",) + (None,) * (width - 1), ("x",) * width]
+    start = max(table.ids) + 1
+    rows = [row.values for row in table] + [
+        (start + i,) + filler[i % len(filler)] for i in range(count)
+    ]
+    return Table(table.name, table.schema, rows)
+
+
+def frontier_of(table, kind: str, tokenless: int):
+    ids = sorted(table.ids)
+    if kind == "whole":
+        return set(ids)
+    if kind == "empty":
+        return set()
+    if kind == "tokenless":
+        return set(ids[len(ids) - tokenless :])
+    return {i for i in ids if i % 3 == 0}
+
+
+class TestFrontierEquivalence:
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(
+        size=st.integers(min_value=20, max_value=90),
+        seed=st.integers(min_value=0, max_value=2**16),
+        tokenless=st.integers(min_value=0, max_value=4),
+        kind=st.sampled_from(["whole", "empty", "query", "tokenless"]),
+        config_index=st.integers(min_value=0, max_value=len(CONFIGS) - 1),
+        scheme=st.sampled_from(list(WeightingScheme)),
+    )
+    def test_derive_equals_reference(self, size, seed, tokenless, kind, config_index, scheme):
+        """Pairs and stage stats, for the whole-table frontier (the Batch
+        Approach's), the empty frontier and token-less rows."""
+        table, _ = generate_people(size, seed=seed)
+        table = with_tokenless_rows(table, tokenless)
+        frontier = frontier_of(table, kind, tokenless)
+        config = replace(CONFIGS[config_index], weighting=scheme)
+        index = TableIndex(table)
+        derived = derive_candidates(index.postings, frontier, config)
+        expected = reference.candidate_pairs(index, frontier, config)
+        assert len(set(derived.pairs)) == len(derived.pairs)
+        assert set(derived.pairs) == set(expected.pairs)
+        assert (
+            derived.qbi_blocks,
+            derived.eqbi_blocks,
+            derived.comparisons_before,
+            derived.comparisons_after,
+        ) == (
+            expected.qbi_blocks,
+            expected.eqbi_blocks,
+            expected.comparisons_before,
+            expected.comparisons_after,
+        )
+
+
 class TestOperatorEquivalence:
     @settings(
         max_examples=10,
@@ -149,11 +244,11 @@ class TestOperatorEquivalence:
         frontier = [row.id for row in table if row.id % 3 == 0]
         base = replace(CONFIGS[config_index], filter_ratio=filter_ratio)
         outcomes = []
-        for packed in (True, False):
+        for operator_class in (DeduplicateOperator, ReferenceOperator):
             index = TableIndex(table)
-            operator = DeduplicateOperator(
+            operator = operator_class(
                 index,
-                meta_blocking=replace(base, packed_blocking=packed),
+                meta_blocking=base,
                 collect_candidates=True,
             )
             stats = DedupStats()
@@ -218,7 +313,6 @@ class TestEngineEquivalence:
         extra_rows = [
             (size + 1000 + i,) + tuple(row.values[1:]) for i, row in enumerate(extra)
         ]
-        Table = type(table)
 
         def history(packed: bool):
             engine = engine_for(

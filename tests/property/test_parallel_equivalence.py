@@ -12,14 +12,16 @@ candidate plan is the subsystem's one way to go quietly wrong — across
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference_oracles import span_arrays, span_graph
 
 from repro.core.engine import QueryEREngine
 from repro.core.indices import TableIndex
 from repro.datagen import generate_people
-from repro.er.edge_pruning import BlockingGraph, WeightingScheme
+from repro.er.edge_pruning import WeightingScheme
 from repro.parallel import ExecutionConfig, ParallelComparisonExecutor
 
 WORKER_COUNTS = (1, 2, 4)
@@ -149,14 +151,19 @@ def test_parallel_graph_build_is_bit_identical(size, seed, scheme):
     index = TableIndex(table)
     collection = index.tbi.non_singleton()
     focus = {row.id for row in table if row.id % 2 == 0}
-    serial = BlockingGraph(collection, scheme=scheme, focus=focus, packed=True)
+    serial = span_graph(collection, scheme=scheme, focus=focus)
+    members, indptr, sizes, universe, in_focus = span_arrays(collection, focus)
     for workers in WORKER_COUNTS[1:]:
         executor = ParallelComparisonExecutor(forced_parallel(workers))
-        parallel = executor.build_blocking_graph(collection, scheme=scheme, focus=focus)
+        parallel = executor.build_span_graph(
+            members, indptr, sizes, universe, scheme, in_focus
+        )
         assert list(serial.edges()) == list(parallel.edges())
         assert serial.average_weight() == parallel.average_weight()
         threshold = serial.average_weight()
-        assert serial.retained_pairs(threshold) == parallel.retained_pairs(threshold)
+        assert np.array_equal(
+            serial.retained_key_array(threshold), parallel.retained_key_array(threshold)
+        )
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS[1:])

@@ -199,7 +199,7 @@ class TestMatchSignatureCascade:
         table = people_table()
         index = TableIndex(table)
         fast = ProfileMatcher(exclude=("id",))
-        slow = ProfileMatcher(exclude=("id",), fast_path=False)
+        slow = ProfileMatcher(exclude=("id",))
         ids = ["p1", "p2", "p3", "p4"]
         fast_decisions = self.decisions(fast, index, ids)
         slow_decisions = [
@@ -221,7 +221,7 @@ class TestMatchSignatureCascade:
     def test_custom_similarity_disables_cascade(self):
         index = TableIndex(people_table())
         matcher = ProfileMatcher(similarity=lambda a, b: 1.0, exclude=("id",))
-        assert not matcher.fast_path
+        assert not matcher.uses_cascade
         # "p1"/"p3" share a comparable attribute, which the constant-1
         # custom similarity scores as a certain match via the slow path.
         assert matcher.match_signatures(index.signature_of("p1"), index.signature_of("p3")) is True

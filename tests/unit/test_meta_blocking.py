@@ -1,17 +1,23 @@
-"""Unit tests for Block Purging, Block Filtering and Edge Pruning."""
+"""Unit tests for Block Purging, Block Filtering and Edge Pruning.
+
+The graph and pipeline cases run the paper-literal reference of
+:mod:`repro.er.reference`; the property suites hold the production
+pipeline to it.
+"""
 
 import pytest
 
 from repro.er.block_filtering import block_filtering, retained_keys
 from repro.er.block_purging import block_purging, purge_threshold
 from repro.er.blocking import Block, BlockCollection
-from repro.er.edge_pruning import (
-    BlockingGraph,
-    WeightingScheme,
+from repro.er.edge_pruning import WeightingScheme
+from repro.er.meta_blocking import MetaBlockingConfig
+from repro.er.reference import (
+    UnpackedBlockingGraph,
+    apply_meta_blocking,
     edge_pruning,
     pairs_to_blocks,
 )
-from repro.er.meta_blocking import MetaBlockingConfig, apply_meta_blocking
 
 
 def collection_with_stopword_block():
@@ -99,7 +105,7 @@ class TestEdgePruning:
         bc.add("k", "a")
         bc.add("k", "b")
         bc.add("k", "c")
-        graph = BlockingGraph(bc)
+        graph = UnpackedBlockingGraph(bc)
         assert len(graph) == 3  # ab, ac, bc
 
     def test_cbs_weight_counts_shared_blocks(self):
@@ -107,14 +113,14 @@ class TestEdgePruning:
         for key in ("k1", "k2"):
             bc.add(key, "a")
             bc.add(key, "b")
-        graph = BlockingGraph(bc, scheme=WeightingScheme.CBS)
+        graph = UnpackedBlockingGraph(bc, scheme=WeightingScheme.CBS)
         assert graph.weight("a", "b") == 2.0
 
     def test_js_weight(self):
         bc = BlockCollection()
         bc.add("k1", "a"); bc.add("k1", "b")
         bc.add("k2", "a")
-        graph = BlockingGraph(bc, scheme=WeightingScheme.JS)
+        graph = UnpackedBlockingGraph(bc, scheme=WeightingScheme.JS)
         # a in 2 blocks, b in 1, shared 1 → 1 / (2 + 1 - 1)
         assert graph.weight("a", "b") == pytest.approx(0.5)
 
@@ -123,7 +129,7 @@ class TestEdgePruning:
         bc.add("small", "a"); bc.add("small", "b")
         for e in ("a", "c", "d", "e"):
             bc.add("large", e)
-        graph = BlockingGraph(bc, scheme=WeightingScheme.ARCS)
+        graph = UnpackedBlockingGraph(bc, scheme=WeightingScheme.ARCS)
         assert graph.weight("a", "b") > graph.weight("a", "c")
 
     def test_pruning_keeps_heavy_edges(self):
@@ -143,7 +149,7 @@ class TestEdgePruning:
         assert blocks.comparison_pairs() == {("a", "b"), ("c", "d")}
 
     def test_average_weight_of_empty_graph(self):
-        assert BlockingGraph(BlockCollection()).average_weight() == 0.0
+        assert UnpackedBlockingGraph(BlockCollection()).average_weight() == 0.0
 
 
 class TestMetaBlockingPipeline:

@@ -14,7 +14,7 @@ from repro.datagen import generate_dsd
 from repro.er.block_purging import block_purging, purge_threshold
 from repro.er.blocking import Block, BlockCollection, NGramBlocking, TokenBlocking, TokenPostings
 from repro.er.meta_blocking import MetaBlockingConfig
-from repro.er.packed_blocking import derive_candidates, packed_blocking_supported
+from repro.er.packed_blocking import derive_candidates
 from repro.er.tokenizer import TokenVocabulary, tokenize_entity, tokenize_value
 from repro.parallel.planner import PartitionPlanner
 from repro.storage.csv_io import write_csv
@@ -147,17 +147,6 @@ class TestTokenPostings:
 
 
 class TestPackedPipeline:
-    def test_supported_gating(self):
-        assert packed_blocking_supported(MetaBlockingConfig.all())
-        assert not packed_blocking_supported(
-            MetaBlockingConfig(packed_blocking=False)
-        )
-        # Unpacked graph → the array pipeline has nothing to feed spans to.
-        assert not packed_blocking_supported(MetaBlockingConfig(packed_graph=False))
-        assert packed_blocking_supported(
-            MetaBlockingConfig(pruning=False, packed_graph=False)
-        )
-
     def test_derive_matches_dict_stats(self):
         table, _ = generate_dsd(150, seed=3)
         index = TableIndex(table)
@@ -192,15 +181,6 @@ class TestPackedPipeline:
 
 
 class TestPartitionCosts:
-    def test_costs_twin_matches_blocks(self):
-        blocks = [Block(f"k{i}", range(i % 7)) for i in range(40)]
-        planner = PartitionPlanner(workers=3)
-        by_blocks = planner.partition_blocks(blocks)
-        by_costs = planner.partition_costs(
-            [max(1, b.cardinality) for b in blocks]
-        )
-        assert by_blocks == by_costs
-
     def test_empty_costs(self):
         assert PartitionPlanner(workers=2).partition_costs([]) == []
 

@@ -83,7 +83,7 @@ class TestPartitionPlanner:
         index = TableIndex(table)
         blocks = list(index.tbi.non_singleton())
         planner = PartitionPlanner(workers=4, partitions_per_worker=1)
-        partitions = planner.partition_blocks(blocks)
+        partitions = planner.partition_costs([max(1, b.cardinality) for b in blocks])
         assert partitions[0].start == 0
         assert partitions[-1].stop == len(blocks)
         for previous, current in zip(partitions, partitions[1:]):

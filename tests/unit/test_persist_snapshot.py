@@ -11,10 +11,11 @@ from repro.persist import (
     SnapshotError,
     column_from_arrays,
     column_to_arrays,
+    load_engine,
     read_manifest,
     save_engine,
 )
-from repro.persist.snapshot import MANIFEST_NAME
+from repro.persist.snapshot import MANIFEST_NAME, write_manifest
 from repro.resilience import DEGRADATION, FaultPlan, clear_plan, install_plan
 from repro.storage.schema import Column, ColumnType, Schema
 from repro.storage.table import Table
@@ -117,6 +118,23 @@ class TestSaveLoad:
         entry = on_disk["tables"]["ppl"]
         assert entry["segments"][0]["sha256"]
         assert entry["rows"] == len(engine.catalog.get("ppl"))
+
+    def test_manifest_with_retired_blocking_flags_still_loads(self, tmp_path):
+        """Manifests written before the candidate pipeline was unified
+        carry ``packed_graph``/``packed_blocking``; they load, and the
+        restored engine answers exactly as the live one."""
+        engine = make_engine(meta_blocking=MetaBlockingConfig.all())
+        live = engine.execute(QUERY)
+        engine.save(tmp_path)
+        manifest = read_manifest(tmp_path)
+        state = manifest["engine"]["meta_blocking"]
+        assert "packed_graph" not in state and "packed_blocking" not in state
+        state.update(packed_graph=True, packed_blocking=True)
+        write_manifest(tmp_path, manifest)
+
+        restored = load_engine(tmp_path)
+        assert restored.meta_blocking == engine.meta_blocking
+        assert repr(restored.execute(QUERY).sorted_rows()) == repr(live.sorted_rows())
 
     def test_corrupted_segment_is_refused(self, tmp_path):
         engine = make_engine()

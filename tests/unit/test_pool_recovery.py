@@ -138,3 +138,58 @@ class TestProcessBackend:
         reset_process_fallback_warning()
         with pytest.warns(RuntimeWarning):
             pool.run(_square, TASKS, None)
+
+
+class TestFailedDedupLeavesLinkIndex:
+    """A DEDUP that fails in a later transitive round amends nothing.
+
+    ``id < 40`` on this table resolves in three rounds, so both faults
+    below fire after round 1 has already matched its frontier.
+    """
+
+    SQL = "SELECT DEDUP * FROM PPL WHERE id < 40"
+
+    @staticmethod
+    def _engine(table):
+        from repro.core.engine import QueryEREngine
+        from repro.parallel import ExecutionConfig
+
+        engine = QueryEREngine(
+            execution=ExecutionConfig(
+                workers=2,
+                backend="thread",
+                min_parallel_pairs=1,
+                min_parallel_comparisons=1,
+                task_retries=2,
+            )
+        )
+        engine.register(table)
+        return engine
+
+    @staticmethod
+    def _link_index_state(engine):
+        link_index = engine.index_of("PPL").link_index
+        return link_index.resolved_count, sorted(link_index.links, key=repr)
+
+    @pytest.mark.parametrize(
+        "site,after",
+        [("pool.task", 16), ("packed.derive", 1)],
+    )
+    def test_later_round_fault_leaves_link_index_untouched(self, site, after):
+        from repro.datagen import generate_people
+
+        table, _ = generate_people(400, seed=47, name="PPL")
+        clean = self._engine(table)
+        expected = clean.execute(self.SQL).sorted_rows()
+        expected_state = self._link_index_state(clean)
+
+        engine = self._engine(table)
+        before = self._link_index_state(engine)
+        install_plan(FaultPlan().add(site, times=None, after=after))
+        with pytest.raises((TaskExecutionError, FaultError)):
+            engine.execute(self.SQL)
+        assert self._link_index_state(engine) == before
+
+        clear_plan()
+        assert engine.execute(self.SQL).sorted_rows() == expected
+        assert self._link_index_state(engine) == expected_state
